@@ -9,20 +9,30 @@ import repro.store.ColumnStore
   * `colOf` buckets a value into one of `c` columns. Because points and query
   * bounds go through the *same* monotone map, the columns intersecting a
   * query range `[lo, hi]` are exactly `[colOf(lo), colOf(hi)]`.
+  *
+  * Serializable so the Spark layout can ship it to executors.
   */
-trait Flattening {
+trait Flattening extends Serializable {
 
   /** Monotone map from value to [0, 1]. */
   def frac(dim: Int, v: Long): Double
 
   /** Column of value `v` when dimension `dim` has `c` columns. */
-  final def colOf(dim: Int, v: Long, c: Int): Int = {
-    val x = (frac(dim, v) * c).toInt
-    if (x < 0) 0 else if (x >= c) c - 1 else x
-  }
+  final def colOf(dim: Int, v: Long, c: Int): Int = Flattening.colOf(frac(dim, v), c)
 
   /** Per-model size in bytes, for the index-size accounting. */
   def sizeBytes: Long
+}
+
+object Flattening {
+
+  /** Column of a value whose fraction is `frac` when there are `c` columns,
+    * clamped to `[0, c-1]`.
+    */
+  @inline def colOf(frac: Double, c: Int): Int = {
+    val x = (frac * c).toInt
+    if (x < 0) 0 else if (x >= c) c - 1 else x
+  }
 }
 
 /** Learned flattening: one RMI-modelled empirical CDF per dimension, built
@@ -36,7 +46,10 @@ final class CdfFlattening private (models: Array[Rmi]) extends Flattening {
 
 object CdfFlattening {
 
-  /** Train per-dimension CDF models on up to `sampleSize` rows of `store`. */
+  /** Train per-dimension CDF models on up to `sampleSize` rows of `store`.
+    * An empty store gets a one-value model, so every value maps to a valid
+    * column.
+    */
   def train(store: ColumnStore, sampleSize: Int = 100000, seed: Long = 7): CdfFlattening = {
     val n = store.numRows
     val rng = new java.util.Random(seed)
@@ -44,7 +57,7 @@ object CdfFlattening {
       if (n <= sampleSize) Array.range(0, n)
       else Array.fill(sampleSize)(rng.nextInt(n))
     val models = Array.tabulate(store.numDims) { d =>
-      val vals = rows.map(store(d, _))
+      val vals = if (n == 0) Array(0L) else rows.map(store(d, _))
       java.util.Arrays.sort(vals)
       Rmi.build(vals, leaves = math.max(8, vals.length / 256))
     }

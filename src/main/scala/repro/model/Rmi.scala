@@ -18,7 +18,7 @@ final class Rmi private (
     sorted: Array[Long],
     leafStartIdx: Array[Int], // expert e covers sorted[leafStartIdx(e), leafStartIdx(e+1))
     leafStartVal: Array[Long] // first value of each expert's slice
-) {
+) extends Serializable {
   private val n = sorted.length
   private val leafCount = leafStartIdx.length - 1
   // Root: linear map value -> expert, fitted on (leafStartVal, expert index),

@@ -2,6 +2,8 @@ package repro.spark
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.core.{CdfFlattening, Flattening, Layout}
+import repro.store.ColumnStore
 
 /** Flood's learned layout as a Spark partitioning/sort scheme with
   * DataFrame-level data skipping.
@@ -17,105 +19,62 @@ import org.apache.spark.sql.functions._
   * entire cells are skipped without touching their payload columns) with the
   * residual value predicate.
   *
+  * The layout and flattening are the core engine's own `Layout` and
+  * `Flattening`, so a layout learned by `LayoutOptimizer` (or one that a
+  * `FloodIndex` runs on) drives Spark unchanged and assigns every row the
+  * same cell.
+  *
   * Everything is DataFrame/Catalyst; no RDD-level code.
   */
 object FloodSpark {
 
-  /** A per-dimension empirical CDF carried as a sorted value sample. */
-  final case class CdfSample(sorted: Array[Long]) extends Serializable {
-    /** Monotone rank fraction of `v` in [0, 1]. */
-    def frac(v: Long): Double = {
-      var lo = 0; var hi = sorted.length
-      while (lo < hi) {
-        val m = (lo + hi) >>> 1
-        if (sorted(m) <= v) lo = m + 1 else hi = m
-      }
-      lo.toDouble / sorted.length
-    }
-    def colOf(v: Long, c: Int): Int = {
-      val x = (frac(v) * c).toInt
-      if (x < 0) 0 else if (x >= c) c - 1 else x
-    }
-  }
+  private val NumPartitions = 16
+  private val SampleSize = 10000
+  private val SampleSeed = 19L
 
-  /** A Spark-side Flood layout over named columns.
+  /** A core layout over named DataFrame columns.
     *
-    * @param gridDims grid dimension column names (most selective first)
-    * @param cols     columns (bucket counts) per grid dimension
-    * @param sortDim  the sort dimension column name
-    * @param cdfs     learned flattening models per grid dimension
+    * @param names      `names(k)` is the DataFrame column of layout dimension `k`
+    * @param layout     grid dimensions, column counts and sort dimension
+    * @param flattening per-dimension value → [0, 1] maps spacing the columns
     */
-  final case class SparkLayout(
-      gridDims: Seq[String],
-      cols: Seq[Int],
-      sortDim: String,
-      cdfs: Map[String, CdfSample]
-  ) {
-    require(gridDims.length == cols.length, "one column count per grid dim")
-
-    /** Mixed-radix strides (first grid dim most significant). */
-    val strides: Seq[Long] = {
-      val s = new Array[Long](cols.length)
-      var acc = 1L
-      var i = cols.length - 1
-      while (i >= 0) { s(i) = acc; acc *= cols(i); i -= 1 }
-      s.toSeq
-    }
-
-    def numCells: Long = cols.foldLeft(1L)(_ * _.toLong)
+  final case class SparkLayout(names: Seq[String], layout: Layout, flattening: Flattening) {
+    require(names.length == layout.d, "one column name per layout dimension")
   }
 
   /** Learn a layout's flattening from a sample of `df` (the layout's shape —
     * grid dims, column counts, sort dim — comes from the core optimizer or a
     * caller-chosen configuration).
     */
-  def learnLayout(
-      df: DataFrame,
-      gridDims: Seq[String],
-      cols: Seq[Int],
-      sortDim: String,
-      sampleSize: Int = 10000,
-      seed: Long = 19
-  ): SparkLayout = {
-    val frac = math.min(1.0, sampleSize.toDouble / math.max(1L, df.count()).toDouble * 1.5)
-    val sample = df.sample(withReplacement = false, frac, seed)
-    val cdfs = gridDims.map { dim =>
-      val vals = sample.select(col(dim).cast("long")).collect().map(_.getLong(0))
-      java.util.Arrays.sort(vals)
-      dim -> CdfSample(if (vals.isEmpty) Array(0L) else vals)
-    }.toMap
-    SparkLayout(gridDims, cols, sortDim, cdfs)
+  def learnLayout(df: DataFrame, gridDims: Seq[String], cols: Seq[Int], sortDim: String): SparkLayout = {
+    val frac = math.min(1.0, SampleSize.toDouble / math.max(1L, df.count()).toDouble * 1.5)
+    val names = gridDims :+ sortDim
+    val sample = ColumnStore.fromDataFrame(df.sample(withReplacement = false, frac, SampleSeed), names)
+    SparkLayout(names, Layout(names.indices.toArray, cols.toArray), CdfFlattening.train(sample))
   }
 
   /** The `flood_cell` expression for a layout. */
   def cellColumn(layout: SparkLayout): Column = {
-    val parts = layout.gridDims.zipWithIndex.map { case (dim, i) =>
-      val cdf = layout.cdfs(dim)
-      val c = layout.cols(i)
-      val stride = layout.strides(i)
-      val colOfUdf = udf((v: Long) => cdf.colOf(v, c).toLong)
-      colOfUdf(col(dim).cast("long")) * lit(stride)
+    val l = layout.layout
+    val flat = layout.flattening
+    val strides = l.strides
+    val parts = l.gridDims.indices.map { i =>
+      val dim = l.gridDims(i)
+      val c = l.cols(i)
+      val colOfUdf = udf((v: Long) => flat.colOf(dim, v, c).toLong)
+      colOfUdf(col(layout.names(dim)).cast("long")) * lit(strides(i))
     }
-    parts.reduce(_ + _).as("flood_cell")
+    parts.reduceOption(_ + _).getOrElse(lit(0L)).as("flood_cell")
   }
 
   /** Lay out `df`: add `flood_cell`, range-partition by it, and sort within
     * partitions by `(flood_cell, sortDim)` — the physical storage order of
     * the paper's index.
     */
-  def applyLayout(df: DataFrame, layout: SparkLayout, numPartitions: Int = 16): DataFrame =
+  def applyLayout(df: DataFrame, layout: SparkLayout): DataFrame =
     df.withColumn("flood_cell", cellColumn(layout))
-      .repartitionByRange(numPartitions, col("flood_cell"))
-      .sortWithinPartitions(col("flood_cell"), col(layout.sortDim))
-
-  /** Per-cell min/max/count statistics — the skipping index a table format
-    * (or this test harness) would persist alongside the laid-out data.
-    */
-  def cellStats(laidOut: DataFrame, valueCols: Seq[String]): DataFrame = {
-    val aggs = valueCols.flatMap(c =>
-      Seq(min(col(c)).as(s"min_$c"), max(col(c)).as(s"max_$c"))) :+ count(lit(1)).as("cnt")
-    laidOut.groupBy(col("flood_cell")).agg(aggs.head, aggs.tail: _*)
-  }
+      .repartitionByRange(NumPartitions, col("flood_cell"))
+      .sortWithinPartitions(col("flood_cell"), col(layout.names(layout.layout.sortDim)))
 
   /** Driver-side projection: the per-grid-dimension column (bucket) ranges a
     * query touches. Ranges are inclusive.
@@ -124,13 +83,14 @@ object FloodSpark {
       layout: SparkLayout,
       preds: Seq[(String, Long, Long)]
   ): Seq[(Int, Int)] = {
-    val byDim = preds.map(p => p._1 -> ((p._2, p._3))).toMap
-    layout.gridDims.zipWithIndex.map { case (dim, i) =>
-      byDim.get(dim) match {
-        case Some((lo, hi)) =>
-          val cdf = layout.cdfs(dim)
-          (cdf.colOf(lo, layout.cols(i)), cdf.colOf(hi, layout.cols(i)))
-        case None => (0, layout.cols(i) - 1)
+    val byName = preds.map(p => p._1 -> ((p._2, p._3))).toMap
+    val l = layout.layout
+    l.gridDims.indices.map { i =>
+      val dim = l.gridDims(i)
+      val c = l.cols(i)
+      byName.get(layout.names(dim)) match {
+        case Some((lo, hi)) => (layout.flattening.colOf(dim, lo, c), layout.flattening.colOf(dim, hi, c))
+        case None => (0, c - 1)
       }
     }
   }
@@ -146,8 +106,10 @@ object FloodSpark {
     */
   def prunePredicate(layout: SparkLayout, preds: Seq[(String, Long, Long)]): Column = {
     val ranges = projectedColRanges(layout, preds)
-    val conds = layout.gridDims.indices.map { i =>
-      val coord = floor(col("flood_cell") / lit(layout.strides(i))) % lit(layout.cols(i).toLong)
+    val l = layout.layout
+    val strides = l.strides
+    val conds = ranges.indices.map { i =>
+      val coord = floor(col("flood_cell") / lit(strides(i))) % lit(l.cols(i).toLong)
       val (lo, hi) = ranges(i)
       coord.between(lit(lo.toLong), lit(hi.toLong))
     }

@@ -75,6 +75,16 @@ object TableGen {
     }.minBy(_._1)._2
   }
 
+  /** Flood's learn-then-build sequence: train the flattening on the data,
+    * learn the layout for `train` under `model`, then load the index.
+    */
+  private def learnAndBuild(ds: Dataset, train: Array[RangeQuery], model: CostModel,
+                            seed: Long): (LayoutOptimizer.Result, FloodIndex) = {
+    val flat = CdfFlattening.train(ds.store)
+    val learned = LayoutOptimizer.optimize(ds, flat, train, model, seed = seed)
+    (learned, new FloodIndex(ds.store, learned.layout, flat, ds.aggDim))
+  }
+
   /** Build every index (tuned on the train set) for a dataset and measure
     * the test set. Returns Table-2 rows plus the Table-4 build times.
     */
@@ -107,9 +117,7 @@ object TableGen {
       tunePageSize(ps => new RStarTree(store, selOrder, ps, 16, ds.aggDim), wl.train), wl.test)
 
     // Flood: learn the layout (the only index NOT hand-tuned), then load
-    val flat = CdfFlattening.train(store)
-    val learned = LayoutOptimizer.optimize(ds, flat, wl.train, model, seed = seed)
-    val flood = new FloodIndex(store, learned.layout, flat, ds.aggDim)
+    val (learned, flood) = learnAndBuild(ds, wl.train, model, seed)
     out += measure(flood, wl.test)
 
     DatasetRun(ds, out.toSeq, learned.learnNanos / 1e9, flood.buildNanos / 1e9,
@@ -182,9 +190,7 @@ object TableGen {
     val tt = Array.ofDim[Double](names.length, names.length)
     for (mi <- names.indices; di <- names.indices) {
       val ds = dss(di); val wl = wls(di)
-      val flat = CdfFlattening.train(ds.store)
-      val learned = LayoutOptimizer.optimize(ds, flat, wl.train, models(mi), seed = seed)
-      val flood = new FloodIndex(ds.store, learned.layout, flat, ds.aggDim)
+      val (_, flood) = learnAndBuild(ds, wl.train, models(mi), seed)
       tt(mi)(di) = measure(flood, wl.test).ttMs
     }
     val sb = new StringBuilder

@@ -10,7 +10,6 @@ import repro.store.ColumnStore
 final case class Dataset(name: String, store: ColumnStore, aggDim: Int) {
   def numDims: Int = store.numDims
   def numRows: Int = store.numRows
-  def sizeGb: Double = store.dataBytes / 1e9
 }
 
 /** Loaders for the four evaluation datasets (paper Table 1; see DESIGN.md

@@ -160,20 +160,6 @@ object Workloads {
   ): Workload = {
     val rng = new Random(seed)
     val tpls = templates(ds.name)
-    fromTemplates(ds, tpls, nTrain, nTest, rng, targetSel)
-  }
-
-  /** Build a workload from explicit templates (used for workload-variation
-    * experiments and cost-model calibration).
-    */
-  def fromTemplates(
-      ds: Dataset,
-      tpls: Seq[QueryTemplate],
-      nTrain: Int,
-      nTest: Int,
-      rng: Random,
-      targetSel: Double
-  ): Workload = {
     val store = ds.store
     val sorted = sortedColumns(store)
     val sampleRows = Array.fill(math.min(20000, store.numRows))(rng.nextInt(store.numRows))
@@ -186,19 +172,6 @@ object Workloads {
       var t = 0
       while (t < weights.length - 1 && u > weights(t)) { u -= weights(t); t += 1 }
       instantiate(store, sorted, tpls(t), rng.nextInt(store.numRows), widths(t))
-    }
-    Workload(Array.fill(nTrain)(draw()), Array.fill(nTest)(draw()))
-  }
-
-  /** OLTP-style point-lookup workload on one or two key dimensions. */
-  def oltp(ds: Dataset, keyDims: Seq[Int], nTrain: Int, nTest: Int, seed: Long): Workload = {
-    val rng = new Random(seed)
-    val store = ds.store
-    def draw(): RangeQuery = {
-      val anchor = rng.nextInt(store.numRows)
-      val q = RangeQuery.full(store.numDims)
-      for (dim <- keyDims) { val v = store(dim, anchor); q.lo(dim) = v; q.hi(dim) = v }
-      q
     }
     Workload(Array.fill(nTrain)(draw()), Array.fill(nTest)(draw()))
   }

@@ -3,19 +3,19 @@ package repro
 import org.apache.spark.sql.functions._
 
 /** Sanity checks that the DuckDB oracle catches agreement and disagreement,
-  * over the provided TPC-H-lite generators.
+  * over the tpc-h lineitem analog.
   */
 class OracleSmokeSpec extends SparkSpec {
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.002, seed = 1).cache()
+  private lazy val li = SynthData.lineitemMulti(spark, 12000, seed = 1).cache()
 
   test("lineitem aggregate agrees with DuckDB") {
     val got = li
-      .filter(col("l_quantity") <= 25)
+      .filter(col("quantity") <= 25)
       .agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(
       got,
-      "SELECT count(*) AS cnt FROM lineitem WHERE CAST(l_quantity AS DOUBLE) <= 25",
+      "SELECT count(*) AS cnt FROM lineitem WHERE CAST(quantity AS BIGINT) <= 25",
       "lineitem" -> li)
   }
 

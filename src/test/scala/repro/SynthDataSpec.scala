@@ -2,39 +2,10 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Checks on the provided TPC-H-lite generators and our multi-dimensional
-  * extensions (DESIGN.md dataset substitutions).
+/** Checks on the synthetic evaluation datasets (DESIGN.md dataset
+  * substitutions).
   */
 class SynthDataSpec extends SparkSpec {
-
-  test("lineitem generates the declared schema and row count at SF 0.001") {
-    val df = SynthData.lineitem(spark, sf = 0.001)
-    assert(df.count() == 6000)
-    assert(df.columns.contains("l_orderkey") && df.columns.contains("l_shipdate"))
-  }
-
-  test("orders keys are dense and unique") {
-    val df = SynthData.orders(spark, sf = 0.001)
-    val n = df.count()
-    assert(df.select(countDistinct(col("o_orderkey"))).head.getLong(0) == n)
-  }
-
-  test("customer and part generate at tiny scale") {
-    assert(SynthData.customer(spark, 0.001).count() > 0)
-    assert(SynthData.part(spark, 0.001).count() > 0)
-  }
-
-  test("zipf keys are skewed toward small ranks") {
-    val df = SynthData.zipfKeys(spark, 20000, nKeys = 1000)
-    val top = df.filter(col("k") <= 10).count()
-    assert(top > 20000 / 10, s"top-10 keys hold $top rows")
-  }
-
-  test("uniform keys cover the key space roughly evenly") {
-    val df = SynthData.uniformKeys(spark, 20000, nKeys = 100)
-    val distinct = df.select(countDistinct(col("k"))).head.getLong(0)
-    assert(distinct > 90)
-  }
 
   test("multi-dimensional generators are deterministic in the seed") {
     val a = SynthData.perfmonMulti(spark, 2000, seed = 5).agg(sum(col("cpu"))).head.getLong(0)

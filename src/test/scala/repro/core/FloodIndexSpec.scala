@@ -209,4 +209,15 @@ class FloodIndexSpec extends AnyFunSuite {
       assert(idx.query(q).count == Scan.brute(s, q)._1)
     }
   }
+
+  test("empty store: the flattening trains and every query answers (0, 0)") {
+    val s = ColumnStore.of("a" -> Array.empty[Long], "b" -> Array.empty[Long], "c" -> Array.empty[Long])
+    val idx = new FloodIndex(s, Layout(Array(0, 1, 2), Array(4, 4)), CdfFlattening.train(s), aggDim = 2)
+    val q = RangeQuery.full(3)
+    q.lo(0) = 5; q.hi(0) = 50; q.lo(2) = -1
+    for (query <- Seq(RangeQuery.full(3), q)) {
+      val r = idx.query(query)
+      assert((r.count, r.sum) == ((0L, 0L)))
+    }
+  }
 }

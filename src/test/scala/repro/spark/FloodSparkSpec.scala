@@ -2,6 +2,10 @@ package repro.spark
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
+import repro.core.{CdfFlattening, FloodIndex, Layout}
+import repro.opt.{Calibration, LayoutOptimizer}
+import repro.store.ColumnStore
+import repro.workload.{Dataset, Workloads}
 
 class FloodSparkSpec extends SparkSpec {
 
@@ -25,7 +29,7 @@ class FloodSparkSpec extends SparkSpec {
   test("flood_cell is within [0, numCells)") {
     val mm = laidOut.agg(min(col("flood_cell")), max(col("flood_cell"))).head
     assert(mm.getLong(0) >= 0L)
-    assert(mm.getLong(1) < layout.numCells)
+    assert(mm.getLong(1) < layout.layout.numCells)
   }
 
   test("rows are sorted by (flood_cell, sortDim) within each partition") {
@@ -111,9 +115,9 @@ class FloodSparkSpec extends SparkSpec {
 
   test("cell pruning reduces the cells touched (projection works)") {
     val narrow = Seq(("shipdate", 100L, 200L))
-    assert(FloodSpark.cellsTouched(layout, narrow) < layout.numCells)
+    assert(FloodSpark.cellsTouched(layout, narrow) < layout.layout.numCells)
     val all = FloodSpark.cellsTouched(layout, Seq.empty)
-    assert(all == layout.numCells)
+    assert(all == layout.layout.numCells)
   }
 
   test("prunePredicate keeps exactly the rows whose cells intersect") {
@@ -125,25 +129,54 @@ class FloodSparkSpec extends SparkSpec {
     assert(pruned.filter(col("shipdate").between(300L, 700L)).count() == full.count())
   }
 
-  test("cellStats summarizes each cell once") {
-    val stats = FloodSpark.cellStats(laidOut, Seq("shipdate", "receiptdate")).cache()
-    val nCells = laidOut.select(countDistinct(col("flood_cell"))).head.getLong(0)
-    assert(stats.count() == nCells)
-    assert(stats.agg(sum(col("cnt"))).head.getLong(0) == df.count())
-    val bad = stats.filter(col("min_shipdate") > col("max_shipdate")).count()
-    assert(bad == 0)
-  }
-
-  test("CdfSample frac is monotone and in [0,1]") {
-    val s = FloodSpark.CdfSample(Array(1L, 5L, 5L, 9L, 20L))
-    val vals = Seq(-3L, 1L, 4L, 5L, 10L, 20L, 50L)
-    val fr = vals.map(s.frac)
-    assert(fr.zip(fr.tail).forall { case (a, b) => a <= b })
-    assert(fr.forall(f => f >= 0.0 && f <= 1.0))
-  }
-
   test("layout strides follow mixed radix") {
-    assert(layout.strides == Seq(16L, 4L, 1L))
-    assert(layout.numCells == 128L)
+    assert(layout.layout.strides.toSeq == Seq(16L, 4L, 1L))
+    assert(layout.layout.numCells == 128L)
+  }
+
+  // the same data as a core store, for the tests that share a layout with FloodIndex
+  private lazy val ds = Dataset("tpch", ColumnStore.fromDataFrame(df, df.columns.toSeq), aggDim = 3)
+  private lazy val flat = CdfFlattening.train(ds.store)
+
+  test("one core layout drives both engines: each flood_cell holds the FloodIndex cell's rows") {
+    val core = Layout(Array(5, 3, 4, 0, 1, 2, 6), Array(8, 4, 3, 1, 2, 1))
+    val flood = new FloodIndex(ds.store, core, flat, ds.aggDim)
+    val shared = FloodSpark.SparkLayout(ds.store.names.toSeq, core, flat)
+    val sparkCounts = FloodSpark.applyLayout(df, shared).groupBy(col("flood_cell")).count()
+      .collect().map(r => r.getLong(0).toInt -> r.getLong(1)).toMap
+    val cells = flood.cellTable
+    for (c <- 0 until core.numCells.toInt) {
+      assert(sparkCounts.getOrElse(c, 0L) == (cells(c + 1) - cells(c)).toLong, s"cell $c")
+    }
+  }
+
+  test("scan on a layout learned by LayoutOptimizer matches DuckDB") {
+    val wl = Workloads.standard(ds, nTrain = 20, nTest = 5, seed = 9)
+    val model = Calibration.calibrate(ds, wl.train.take(10), numLayouts = 3, seed = 10)
+    val learned = LayoutOptimizer.optimize(ds, flat, wl.train, model, seed = 11).layout
+    val shared = FloodSpark.SparkLayout(ds.store.names.toSeq, learned, flat)
+    val preds = Seq(("shipdate", 300L, 1100L), ("discount", 3L, 8L), ("quantity", 10L, 30L))
+    val got = FloodSpark.scan(FloodSpark.applyLayout(df, shared), shared, preds)
+      .agg(count(lit(1)).as("cnt"), coalesce(sum(col("quantity")), lit(0L)).as("total"))
+    Oracle.assertEquivalent(
+      got,
+      """SELECT count(*) AS cnt, COALESCE(SUM(CAST(quantity AS BIGINT)), 0) AS total
+        |FROM lineitem
+        |WHERE CAST(shipdate AS BIGINT) BETWEEN 300 AND 1100
+        |  AND CAST(discount AS BIGINT) BETWEEN 3 AND 8
+        |  AND CAST(quantity AS BIGINT) BETWEEN 10 AND 30""".stripMargin,
+      "lineitem" -> df)
+  }
+
+  test("learnLayout on an empty DataFrame lays out and scans nothing") {
+    val empty = df.limit(0)
+    val l = FloodSpark.learnLayout(empty, Seq("shipdate", "quantity"), Seq(4, 4), "receiptdate")
+    val laid = FloodSpark.applyLayout(empty, l)
+    assert(laid.count() == 0L)
+    val got = FloodSpark.scan(laid, l, Seq(("shipdate", 0L, 100L))).agg(count(lit(1)).as("cnt"))
+    Oracle.assertEquivalent(
+      got,
+      "SELECT count(*) AS cnt FROM lineitem WHERE CAST(shipdate AS BIGINT) BETWEEN 0 AND 100",
+      "lineitem" -> empty)
   }
 }

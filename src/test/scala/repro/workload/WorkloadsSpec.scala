@@ -47,19 +47,6 @@ class WorkloadsSpec extends SparkSpec {
     }
   }
 
-  test("oltp workload produces point lookups") {
-    val w = Workloads.oltp(ds, Seq(0), nTrain = 10, nTest = 5, seed = 13)
-    for (q <- w.all) {
-      assert(q.filteredDims.toSeq == Seq(0))
-      assert(q.lo(0) == q.hi(0))
-    }
-  }
-
-  test("two-key oltp workload") {
-    val w = Workloads.oltp(ds, Seq(0, 2), nTrain = 5, nTest = 5, seed = 14)
-    for (q <- w.all) assert(q.filteredDims.toSeq == Seq(0, 2))
-  }
-
   test("dimSelectivity: filtered dims < 1, never-filtered dims = 1") {
     val sel = Workloads.dimSelectivity(ds.store, wl.train)
     val filteredDims = wl.train.flatMap(_.filteredDims).toSet
