@@ -8,7 +8,7 @@ import repro.tables.TableGen
   */
 object Table1Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("flood-table1").getOrCreate()
+    val spark = SparkSession.builder().appName("flood-table1").getOrCreate()
     println("Table 1: dataset and query characteristics")
     println(TableGen.table1(spark))
     spark.stop()

@@ -9,7 +9,7 @@ import repro.workload.Datasets
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("flood-table2").getOrCreate()
+    val spark = SparkSession.builder().appName("flood-table2").getOrCreate()
     val model = TableGen.calibrateOnce(spark)
     val runs = Datasets.Names.map { n =>
       TableGen.runDataset(Datasets.loadBench(spark, n), model)

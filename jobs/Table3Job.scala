@@ -10,7 +10,7 @@ import repro.workload.Datasets
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("flood-table3").getOrCreate()
+    val spark = SparkSession.builder().appName("flood-table3").getOrCreate()
     println("Table 3: query time (ms) per (calibration dataset, target dataset)")
     println(TableGen.table3(spark, Datasets.BenchRows))
     spark.stop()

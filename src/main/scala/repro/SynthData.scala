@@ -17,7 +17,6 @@ object SynthData {
     * paper §7.4). Mimics an order-line table from a commercial sales DB.
     */
   def salesMulti(spark: SparkSession, rows: Long, seed: Long = 11): DataFrame = {
-    import spark.implicits._
     spark.range(rows).select(
       (rand(seed)     * 1000000).cast(LongType)        as "order_id",
       (rand(seed + 1) * 50000).cast(LongType)          as "customer_id",
@@ -32,7 +31,6 @@ object SynthData {
     * receiptdate = shipdate + small delta, as in real TPC-H).
     */
   def lineitemMulti(spark: SparkSession, rows: Long, seed: Long = 12): DataFrame = {
-    import spark.implicits._
     val ship = (rand(seed + 5) * 2526).cast(LongType)
     spark.range(rows).select(
       (rand(seed)     * (rows / 4 + 1)).cast(LongType) as "orderkey",
@@ -73,7 +71,6 @@ object SynthData {
     * from machine monitoring logs).
     */
   def perfmonMulti(spark: SparkSession, rows: Long, seed: Long = 14): DataFrame = {
-    import spark.implicits._
     spark.range(rows).select(
       (rand(seed) * 31536000L).cast(LongType)                      as "log_ts",
       (pow(rand(seed + 1), 2.5) * 500).cast(LongType)              as "machine",

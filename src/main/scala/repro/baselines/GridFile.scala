@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan}
+import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeQuery}
 
 import scala.collection.mutable.ArrayBuffer
 
@@ -235,13 +235,13 @@ final class GridFile(
       k += 1
     }
     val str = strides(counts)
+    val cands = new Candidates(dataV, q, aggDim)
     val seen = new Array[Boolean](buckets.length)
-    val hitBuckets = new ArrayBuffer[Int]()
     val coord = iLo.clone()
     var done = false
     while (!done) {
       val bId = grid(blockOf(coord, str))
-      if (!seen(bId)) { seen(bId) = true; hitBuckets += bId }
+      if (!seen(bId)) { seen(bId) = true; cands.add(bucketStart(bId), bucketStart(bId + 1), exact = false) }
       var kk = d - 1
       var carry = true
       while (carry && kk >= 0) {
@@ -250,18 +250,7 @@ final class GridFile(
       }
       if (carry) done = true
     }
-    val t1 = System.nanoTime()
-    var count = 0L; var sum = 0L; var scanned = 0L
-    var i = 0
-    while (i < hitBuckets.length) {
-      val b = hitBuckets(i)
-      val s = bucketStart(b); val e = bucketStart(b + 1)
-      val (cc, ss) = Scan.scanRange(dataV, q, q.filteredDims, aggDim, s, e)
-      count += cc; sum += ss; scanned += (e - s).toLong
-      i += 1
-    }
-    val t2 = System.nanoTime()
-    IndexResult(count, sum, scanned, t1 - t0, t2 - t1)
+    cands.scan(t0)
   }
 
   def sizeBytes: Long =

@@ -1,65 +1,41 @@
 package repro.baselines
 
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan}
+import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery}
 
 import scala.collection.mutable.ArrayBuffer
 
 /** Baseline 6 (paper §7.2, Appendix A): hyperoctree. Space is recursively
   * halved at each dimension's midpoint (2^d children per node) until a node
-  * holds at most `pageSize` points. Points of a leaf are stored contiguously
-  * in depth-first order; each leaf keeps its per-dimension min/max for
-  * intersection tests and exact-containment short-circuits.
+  * holds at most `pageSize` points or is 16 levels deep. Points of a leaf
+  * are stored contiguously in depth-first order.
   */
 final class HyperOctree(
     store: ColumnStore,
     pageSize: Int = 1024,
-    aggDim: Int = 0,
-    maxDepth: Int = 16
+    aggDim: Int = 0
 ) extends MultiDimIndex {
   require(store.numDims <= 16, "2^d fan-out: d must be <= 16")
 
   val name = "Hyperoctree"
 
   private val d = store.numDims
-
-  private sealed trait Node
-  private final class Internal(val boxLo: Array[Long], val boxHi: Array[Long]) extends Node {
-    val children: Array[Node] = new Array[Node](1 << d)
-  }
-  private final class Leaf(val s: Int, val e: Int) extends Node {
-    var mins: Array[Long] = _
-    var maxs: Array[Long] = _
-  }
-
-  private var root: Node = _
-  private var dataV: ColumnStore = _
-  private var nodeCount: Int = 0
-  private var leafCount: Int = 0
+  private final val MaxDepth = 16
+  private var tree: RangeTree = _
 
   val buildNanos: Long = {
     val t0 = System.nanoTime()
-    val n = store.numRows
-    val perm = Array.range(0, n)
-    val boxLo = Array.tabulate(d)(store.min)
-    val boxHi = Array.tabulate(d)(store.max)
+    val perm = new Array[Int](store.numRows)
     var write = 0
 
-    def buildNode(idx: Array[Int], lo: Array[Long], hi: Array[Long], depth: Int): Node = {
-      nodeCount += 1
+    def buildNode(idx: Array[Int], lo: Array[Long], hi: Array[Long], depth: Int): RangeNode = {
+      val s = write
       val degenerate = (0 until d).forall(k => lo(k) >= hi(k))
-      if (idx.length <= pageSize || depth >= maxDepth || degenerate) {
-        val s = write
-        var i = 0
-        while (i < idx.length) { perm(write) = idx(i); write += 1; i += 1 }
-        leafCount += 1
-        new Leaf(s, write)
+      if (idx.length <= pageSize || depth >= MaxDepth || degenerate) {
+        System.arraycopy(idx, 0, perm, write, idx.length)
+        write += idx.length
+        RangeNode.leaf(s, write)
       } else {
-        val mid = Array.tabulate(d) { k =>
-          // midpoint split; clamp so both halves are non-degenerate value ranges
-          val m = lo(k) + (hi(k) - lo(k)) / 2
-          m
-        }
-        val node = new Internal(lo, hi)
+        val mid = Array.tabulate(d)(k => lo(k) + (hi(k) - lo(k)) / 2)
         // bucket points by octant
         val buckets = Array.fill(1 << d)(new ArrayBuffer[Int]())
         var i = 0
@@ -74,6 +50,7 @@ final class HyperOctree(
           buckets(oct) += row
           i += 1
         }
+        val children = new ArrayBuffer[RangeNode]()
         var oct = 0
         while (oct < (1 << d)) {
           if (buckets(oct).nonEmpty) {
@@ -85,98 +62,26 @@ final class HyperOctree(
               else { cLo(k) = math.min(mid(k) + 1, hi(k)); cHi(k) = hi(k) }
               k += 1
             }
-            node.children(oct) = buildNode(buckets(oct).toArray, cLo, cHi, depth + 1)
+            children += buildNode(buckets(oct).toArray, cLo, cHi, depth + 1)
           }
           oct += 1
         }
-        node
+        new RangeNode(s, write, children.toArray)
       }
     }
 
-    root = buildNode(perm.clone(), boxLo, boxHi, 0)
-    dataV = store.reorder(perm)
-
-    // tight per-leaf min/max from the actual points
-    def fillLeafBoxes(node: Node): Unit = node match {
-      case leaf: Leaf =>
-        leaf.mins = Array.fill(d)(Long.MaxValue)
-        leaf.maxs = Array.fill(d)(Long.MinValue)
-        var dd = 0
-        while (dd < d) {
-          val col = dataV.columns(dd)
-          var i = leaf.s
-          while (i < leaf.e) {
-            val v = col(i)
-            if (v < leaf.mins(dd)) leaf.mins(dd) = v
-            if (v > leaf.maxs(dd)) leaf.maxs(dd) = v
-            i += 1
-          }
-          dd += 1
-        }
-      case int: Internal =>
-        int.children.foreach(c => if (c != null) fillLeafBoxes(c))
-    }
-    fillLeafBoxes(root)
+    val root = buildNode(Array.range(0, store.numRows), Array.tabulate(d)(store.min),
+      Array.tabulate(d)(store.max), 0)
+    tree = new RangeTree(store, perm, root)
     System.nanoTime() - t0
   }
 
-  def query(q: RangeQuery): IndexResult = {
-    val t0 = System.nanoTime()
-    val ranges = new ArrayBuffer[(Int, Int, Boolean)]() // (s, e, exact)
-    val fd = q.filteredDims
-
-    def intersects(lo: Array[Long], hi: Array[Long]): Boolean = {
-      var i = 0
-      while (i < fd.length) {
-        val dim = fd(i)
-        if (hi(dim) < q.lo(dim) || lo(dim) > q.hi(dim)) return false
-        i += 1
-      }
-      true
-    }
-    def contained(lo: Array[Long], hi: Array[Long]): Boolean = {
-      var i = 0
-      while (i < fd.length) {
-        val dim = fd(i)
-        if (lo(dim) < q.lo(dim) || hi(dim) > q.hi(dim)) return false
-        i += 1
-      }
-      true
-    }
-    def visit(node: Node): Unit = node match {
-      case leaf: Leaf =>
-        if (leaf.e > leaf.s && intersects(leaf.mins, leaf.maxs))
-          ranges += ((leaf.s, leaf.e, contained(leaf.mins, leaf.maxs)))
-      case int: Internal =>
-        if (intersects(int.boxLo, int.boxHi)) {
-          var i = 0
-          while (i < int.children.length) {
-            val c = int.children(i)
-            if (c != null) visit(c)
-            i += 1
-          }
-        }
-    }
-    visit(root)
-    val t1 = System.nanoTime()
-
-    var count = 0L; var sum = 0L; var scanned = 0L
-    var i = 0
-    while (i < ranges.length) {
-      val (s, e, exact) = ranges(i)
-      val checks = if (exact) Array.empty[Int] else fd
-      val (cc, ss) = Scan.scanRange(dataV, q, checks, aggDim, s, e)
-      count += cc; sum += ss; scanned += (e - s).toLong
-      i += 1
-    }
-    val t2 = System.nanoTime()
-    IndexResult(count, sum, scanned, t1 - t0, t2 - t1)
-  }
+  def query(q: RangeQuery): IndexResult = tree.query(q, aggDim)
 
   def sizeBytes: Long =
     // internal nodes: child array + box; leaves: range + box
-    nodeCount.toLong * (1L << d) * 8 / 2 + leafCount.toLong * (8 + d.toLong * 16)
+    tree.numNodes.toLong * (1L << d) * 8 / 2 + tree.numLeaves.toLong * (8 + d.toLong * 16)
 
   /** Number of leaves (tests). */
-  def numLeaves: Int = leafCount
+  def numLeaves: Int = tree.numLeaves
 }

@@ -1,8 +1,6 @@
 package repro.baselines
 
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan}
-
-import scala.collection.mutable.ArrayBuffer
+import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery}
 
 /** Baseline 7 (paper §7.2, Appendix A): k-d tree. Space is recursively
   * partitioned at the median of each dimension, dimensions cycled round-robin
@@ -22,38 +20,21 @@ final class KdTree(
   val name = "K-d tree"
 
   private val d = store.numDims
-
-  private sealed trait Node {
-    var mins: Array[Long] = _
-    var maxs: Array[Long] = _
-  }
-  private final class Internal(val dim: Int, val splitVal: Long) extends Node {
-    var left: Node = _
-    var right: Node = _
-  }
-  private final class Leaf(val s: Int, val e: Int) extends Node
-
-  private var root: Node = _
-  private var dataV: ColumnStore = _
-  private var leafCount = 0
-  private var nodeCount = 0
+  private var tree: RangeTree = _
 
   val buildNanos: Long = {
     val t0 = System.nanoTime()
-    val n = store.numRows
-    val perm = new Array[Int](n)
+    val perm = new Array[Int](store.numRows)
     var write = 0
 
-    def makeLeaf(idx: Array[Int]): Leaf = {
+    def makeLeaf(idx: Array[Int]): RangeNode = {
       val s = write
-      var i = 0
-      while (i < idx.length) { perm(write) = idx(i); write += 1; i += 1 }
-      leafCount += 1
-      new Leaf(s, write)
+      System.arraycopy(idx, 0, perm, write, idx.length)
+      write += idx.length
+      RangeNode.leaf(s, write)
     }
 
-    def buildNode(idx: Array[Int], orderPos: Int): Node = {
-      nodeCount += 1
+    def buildNode(idx: Array[Int], orderPos: Int): RangeNode = {
       if (idx.length <= pageSize) return makeLeaf(idx)
       // find the next usable dimension (not all-equal), round robin
       var tried = 0
@@ -68,10 +49,10 @@ final class KdTree(
           if (splitVal == vals(0)) splitVal += 1
           val (l, r) = idx.partition(row => store(dim, row) < splitVal)
           if (l.nonEmpty && r.nonEmpty) {
-            val node = new Internal(dim, splitVal)
-            node.left = buildNode(l, pos + 1)
-            node.right = buildNode(r, pos + 1)
-            return node
+            val s = write
+            val left = buildNode(l, pos + 1)
+            val right = buildNode(r, pos + 1)
+            return new RangeNode(s, write, Array(left, right))
           }
         }
         pos += 1
@@ -80,82 +61,14 @@ final class KdTree(
       makeLeaf(idx) // all dimensions degenerate
     }
 
-    root = buildNode(Array.range(0, n), 0)
-    dataV = store.reorder(perm)
-
-    def fillBoxes(node: Node): Unit = node match {
-      case leaf: Leaf =>
-        leaf.mins = Array.fill(d)(Long.MaxValue)
-        leaf.maxs = Array.fill(d)(Long.MinValue)
-        var dd = 0
-        while (dd < d) {
-          val col = dataV.columns(dd)
-          var i = leaf.s
-          while (i < leaf.e) {
-            val v = col(i)
-            if (v < leaf.mins(dd)) leaf.mins(dd) = v
-            if (v > leaf.maxs(dd)) leaf.maxs(dd) = v
-            i += 1
-          }
-          dd += 1
-        }
-      case int: Internal =>
-        fillBoxes(int.left); fillBoxes(int.right)
-        int.mins = Array.tabulate(d)(k => math.min(int.left.mins(k), int.right.mins(k)))
-        int.maxs = Array.tabulate(d)(k => math.max(int.left.maxs(k), int.right.maxs(k)))
-    }
-    fillBoxes(root)
+    tree = new RangeTree(store, perm, buildNode(Array.range(0, store.numRows), 0))
     System.nanoTime() - t0
   }
 
-  def query(q: RangeQuery): IndexResult = {
-    val t0 = System.nanoTime()
-    val fd = q.filteredDims
-    val ranges = new ArrayBuffer[(Int, Int, Boolean)]()
+  def query(q: RangeQuery): IndexResult = tree.query(q, aggDim)
 
-    def intersects(n: Node): Boolean = {
-      var i = 0
-      while (i < fd.length) {
-        val dim = fd(i)
-        if (n.maxs(dim) < q.lo(dim) || n.mins(dim) > q.hi(dim)) return false
-        i += 1
-      }
-      true
-    }
-    def contained(n: Node): Boolean = {
-      var i = 0
-      while (i < fd.length) {
-        val dim = fd(i)
-        if (n.mins(dim) < q.lo(dim) || n.maxs(dim) > q.hi(dim)) return false
-        i += 1
-      }
-      true
-    }
-    def visit(node: Node): Unit = node match {
-      case leaf: Leaf =>
-        if (leaf.e > leaf.s && intersects(leaf))
-          ranges += ((leaf.s, leaf.e, contained(leaf)))
-      case int: Internal =>
-        if (intersects(int)) { visit(int.left); visit(int.right) }
-    }
-    visit(root)
-    val t1 = System.nanoTime()
-
-    var count = 0L; var sum = 0L; var scanned = 0L
-    var i = 0
-    while (i < ranges.length) {
-      val (s, e, exact) = ranges(i)
-      val checks = if (exact) Array.empty[Int] else fd
-      val (cc, ss) = Scan.scanRange(dataV, q, checks, aggDim, s, e)
-      count += cc; sum += ss; scanned += (e - s).toLong
-      i += 1
-    }
-    val t2 = System.nanoTime()
-    IndexResult(count, sum, scanned, t1 - t0, t2 - t1)
-  }
-
-  def sizeBytes: Long = nodeCount.toLong * (d.toLong * 16 + 32)
+  def sizeBytes: Long = tree.numNodes.toLong * (d.toLong * 16 + 32)
 
   /** Number of leaves (tests). */
-  def numLeaves: Int = leafCount
+  def numLeaves: Int = tree.numLeaves
 }

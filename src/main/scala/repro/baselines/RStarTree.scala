@@ -1,161 +1,65 @@
 package repro.baselines
 
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan}
-
-import scala.collection.mutable.ArrayBuffer
+import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Sort}
 
 /** Baseline 8: read-optimized bulk-loaded R-tree.
   *
   * The paper benchmarks libspatialindex's R*-tree (C++); as a substitute we
   * bulk-load an R-tree with Sort-Tile-Recursive (STR) packing — the standard
   * read-optimized bulk-loading scheme — over the same column store. Leaf
-  * pages hold `pageSize` points; internal nodes have fan-out `fanout` with
+  * pages hold `pageSize` points; internal nodes have fan-out 16 with
   * minimum bounding rectangles, and queries descend intersecting MBRs.
   */
 final class RStarTree(
     store: ColumnStore,
     dimOrder: Array[Int],
     pageSize: Int = 1024,
-    fanout: Int = 16,
     aggDim: Int = 0
 ) extends MultiDimIndex {
 
   val name = "R* tree"
 
   private val d = store.numDims
-
-  private final class Node(val s: Int, val e: Int, val isLeaf: Boolean) {
-    var mins: Array[Long] = _
-    var maxs: Array[Long] = _
-    var children: Array[Node] = _
-  }
-
-  private var root: Node = _
-  private var dataV: ColumnStore = _
-  private var nodeCount = 0
-  private var leafCount = 0
+  private final val Fanout = 16
+  private var tree: RangeTree = _
 
   val buildNanos: Long = {
     val t0 = System.nanoTime()
     val n = store.numRows
-    val perm = new Array[Int](n)
-    var write = 0
+    val perm = Array.range(0, n)
 
     // STR tiling: sort by the current dimension, cut into slabs sized so the
     // remaining dimensions can tile each slab into ~equal pages.
-    def tile(idx: Array[Int], pos: Int): Unit = {
-      if (idx.length <= pageSize || pos >= d) {
-        var i = 0
-        while (i < idx.length) { perm(write) = idx(i); write += 1; i += 1 }
-      } else {
-        val dim = dimOrder(pos)
-        val sorted = idx.sortBy(row => store(dim, row))
-        val remaining = d - pos
-        val nPages = math.max(1, math.ceil(idx.length.toDouble / pageSize).toInt)
-        val slabs = math.max(1, math.ceil(math.pow(nPages.toDouble, 1.0 / remaining)).toInt)
-        val slabSize = math.max(1, math.ceil(idx.length.toDouble / slabs).toInt)
-        var s = 0
-        while (s < sorted.length) {
-          val e = math.min(sorted.length, s + slabSize)
-          tile(java.util.Arrays.copyOfRange(sorted, s, e), pos + 1)
-          s = e
-        }
+    def tile(s: Int, e: Int, pos: Int): Unit = if (e - s > pageSize && pos < d) {
+      Sort.byKey(perm, store.columns(dimOrder(pos)), s, e)
+      val remaining = d - pos
+      val nPages = math.max(1, math.ceil((e - s).toDouble / pageSize).toInt)
+      val slabs = math.max(1, math.ceil(math.pow(nPages.toDouble, 1.0 / remaining)).toInt)
+      val slabSize = math.max(1, math.ceil((e - s).toDouble / slabs).toInt)
+      var a = s
+      while (a < e) {
+        val b = math.min(e, a + slabSize)
+        tile(a, b, pos + 1)
+        a = b
       }
     }
-    tile(Array.range(0, n), 0)
-    dataV = store.reorder(perm)
+    tile(0, n, 0)
 
-    // leaves over consecutive pages, then pack upward with fan-out `fanout`
-    var level = new ArrayBuffer[Node]()
-    var s = 0
-    while (s < n) {
-      val e = math.min(n, s + pageSize)
-      val leaf = new Node(s, e, isLeaf = true)
-      leaf.mins = Array.fill(d)(Long.MaxValue)
-      leaf.maxs = Array.fill(d)(Long.MinValue)
-      var dd = 0
-      while (dd < d) {
-        val col = dataV.columns(dd)
-        var i = s
-        while (i < e) {
-          val v = col(i)
-          if (v < leaf.mins(dd)) leaf.mins(dd) = v
-          if (v > leaf.maxs(dd)) leaf.maxs(dd) = v
-          i += 1
-        }
-        dd += 1
-      }
-      level += leaf
-      s = e
+    // leaves over consecutive pages (one empty leaf for an empty store),
+    // then pack upward with fan-out `Fanout`
+    var level = Array.tabulate(math.max(1, (n + pageSize - 1) / pageSize)) { i =>
+      RangeNode.leaf(i * pageSize, math.min(n, (i + 1) * pageSize))
     }
-    leafCount = level.length
-    nodeCount = level.length
-    while (level.length > 1) {
-      val parents = new ArrayBuffer[Node]()
-      var i = 0
-      while (i < level.length) {
-        val group = level.slice(i, math.min(level.length, i + fanout))
-        val p = new Node(group.head.s, group.last.e, isLeaf = false)
-        p.children = group.toArray
-        p.mins = Array.tabulate(d)(k => group.map(_.mins(k)).min)
-        p.maxs = Array.tabulate(d)(k => group.map(_.maxs(k)).max)
-        parents += p
-        nodeCount += 1
-        i += fanout
-      }
-      level = parents
-    }
-    root = if (level.isEmpty) { val r = new Node(0, 0, isLeaf = true); r.mins = Array.fill(d)(0L); r.maxs = Array.fill(d)(-1L); r } else level(0)
+    while (level.length > 1)
+      level = level.grouped(Fanout).map(g => new RangeNode(g.head.s, g.last.e, g)).toArray
+    tree = new RangeTree(store, perm, level(0))
     System.nanoTime() - t0
   }
 
-  def query(q: RangeQuery): IndexResult = {
-    val t0 = System.nanoTime()
-    val fd = q.filteredDims
-    val ranges = new ArrayBuffer[(Int, Int, Boolean)]()
+  def query(q: RangeQuery): IndexResult = tree.query(q, aggDim)
 
-    def intersects(nd: Node): Boolean = {
-      var i = 0
-      while (i < fd.length) {
-        val dim = fd(i)
-        if (nd.maxs(dim) < q.lo(dim) || nd.mins(dim) > q.hi(dim)) return false
-        i += 1
-      }
-      true
-    }
-    def contained(nd: Node): Boolean = {
-      var i = 0
-      while (i < fd.length) {
-        val dim = fd(i)
-        if (nd.mins(dim) < q.lo(dim) || nd.maxs(dim) > q.hi(dim)) return false
-        i += 1
-      }
-      true
-    }
-    def visit(nd: Node): Unit = {
-      if (nd.e > nd.s && intersects(nd)) {
-        if (nd.isLeaf) ranges += ((nd.s, nd.e, contained(nd)))
-        else nd.children.foreach(visit)
-      }
-    }
-    visit(root)
-    val t1 = System.nanoTime()
-
-    var count = 0L; var sum = 0L; var scanned = 0L
-    var i = 0
-    while (i < ranges.length) {
-      val (s, e, exact) = ranges(i)
-      val checks = if (exact) Array.empty[Int] else fd
-      val (cc, ss) = Scan.scanRange(dataV, q, checks, aggDim, s, e)
-      count += cc; sum += ss; scanned += (e - s).toLong
-      i += 1
-    }
-    val t2 = System.nanoTime()
-    IndexResult(count, sum, scanned, t1 - t0, t2 - t1)
-  }
-
-  def sizeBytes: Long = nodeCount.toLong * (d.toLong * 16 + 32)
+  def sizeBytes: Long = tree.numNodes.toLong * (d.toLong * 16 + 32)
 
   /** Number of leaf pages (tests). */
-  def numLeaves: Int = leafCount
+  def numLeaves: Int = tree.numLeaves
 }

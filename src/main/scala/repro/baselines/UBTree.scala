@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.model.SearchUtil
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery}
+import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeQuery}
 
 /** Baseline 5 (paper §7.2, Appendix A): UB-tree. Points are ordered by
   * Z-value like the Z-order index and grouped into pages; the scan iterates
@@ -20,70 +20,36 @@ final class UBTree(
 
   val name = "UB tree"
 
-  private val d = store.numDims
-  private val curve = new ZCurve(d)
-  private val quant = Quantizer.fromStore(store, dimOrder, curve.maxCoord + 1)
-
-  private var dataV: ColumnStore = _
-  private var zvals: Array[Long] = _
+  private var z: ZLayout = _
 
   val buildNanos: Long = {
     val t0 = System.nanoTime()
-    val n = store.numRows
-    val coords = new Array[Long](d)
-    val z = new Array[Long](n)
-    var i = 0
-    while (i < n) {
-      var k = 0
-      while (k < d) { coords(k) = quant.quantize(k, store(dimOrder(k), i)); k += 1 }
-      z(i) = curve.encode(coords)
-      i += 1
-    }
-    val perm = Array.range(0, n).map(Int.box)
-    java.util.Arrays.sort(perm, (a: Integer, b: Integer) => java.lang.Long.compare(z(a), z(b)))
-    val p = perm.map(_.intValue)
-    dataV = store.reorder(p)
-    zvals = p.map(z)
+    z = new ZLayout(store, dimOrder)
     System.nanoTime() - t0
   }
 
   def query(q: RangeQuery): IndexResult = {
     val t0 = System.nanoTime()
-    val qlo = new Array[Long](d)
-    val qhi = new Array[Long](d)
-    var k = 0
-    while (k < d) {
-      val dim = dimOrder(k)
-      qlo(k) = if (q.lo(dim) == Long.MinValue) 0L else quant.quantize(k, q.lo(dim))
-      qhi(k) = if (q.hi(dim) == Long.MaxValue) curve.maxCoord else quant.quantize(k, q.hi(dim))
-      k += 1
-    }
-    val zlo = curve.encode(qlo)
-    val zhi = curve.encode(qhi)
-    var pos = SearchUtil.binaryLowerBound(zvals, zlo, 0, zvals.length)
-    val end = SearchUtil.binaryUpperBound(zvals, zhi, 0, zvals.length)
-    val t1 = System.nanoTime()
-
-    val fd = q.filteredDims
-    var count = 0L; var sum = 0L; var scanned = 0L
-    while (pos < end) {
-      val z = zvals(pos)
-      if (curve.inBox(z, qlo, qhi)) {
-        // scan to the end of the page holding this position (quantization is
-        // coarse, so verify the raw values of every point)
-        val pageEnd = math.min(end, (pos / pageSize + 1) * pageSize)
-        val (cc, ss) = repro.store.Scan.scanRange(dataV, q, fd, aggDim, pos, pageEnd)
-        count += cc; sum += ss; scanned += (pageEnd - pos).toLong
+    val span = z.span(q)
+    val zvals = z.zvals
+    val cands = new Candidates(z.data, q, aggDim)
+    var pos = span.s
+    while (pos < span.e) {
+      val code = zvals(pos)
+      if (z.curve.inBox(code, span.qlo, span.qhi)) {
+        // take the rest of the page holding this position (quantization is
+        // coarse, so the scan checks the raw values of every point)
+        val pageEnd = math.min(span.e, (pos / pageSize + 1) * pageSize)
+        cands.add(pos, pageEnd, exact = false)
         pos = pageEnd
       } else {
-        val next = curve.bigmin(z, zlo, zhi)
-        if (next < 0 || next > zhi) pos = end
-        else pos = SearchUtil.lowerBoundRange(zvals, next, pos + 1, pos + 1, end)
+        val next = z.curve.bigmin(code, span.zlo, span.zhi)
+        if (next < 0 || next > span.zhi) pos = span.e
+        else pos = SearchUtil.lowerBoundRange(zvals, next, pos + 1, pos + 1, span.e)
       }
     }
-    val t2 = System.nanoTime()
-    IndexResult(count, sum, scanned, t1 - t0, t2 - t1)
+    cands.scan(t0)
   }
 
-  def sizeBytes: Long = zvals.length.toLong * 8
+  def sizeBytes: Long = z.zvals.length.toLong * 8
 }

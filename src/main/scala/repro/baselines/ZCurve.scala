@@ -1,5 +1,8 @@
 package repro.baselines
 
+import repro.model.SearchUtil
+import repro.store.{ColumnStore, RangeQuery, Sort}
+
 /** Z-order (Morton) curve machinery shared by the Z-order index and UB-tree
   * (paper §7.2 and Appendix A): d dimensions, ⌊64/d⌋ bits each, interleaved
   * so that dimension 0's least-significant bit is the code's least-significant
@@ -123,6 +126,64 @@ final class Quantizer(mins: Array[Long], maxs: Array[Long], levels: Long) {
 }
 
 object Quantizer {
-  def fromStore(store: repro.store.ColumnStore, dims: Array[Int], levels: Long): Quantizer =
+  def fromStore(store: ColumnStore, dims: Array[Int], levels: Long): Quantizer =
     new Quantizer(dims.map(store.min), dims.map(store.max), levels)
 }
+
+/** The Z-order layout the Z-order index and the UB-tree share (paper
+  * Appendix A): each row's values, quantized per dimension, are interleaved
+  * into a Z-code with `dimOrder(0)` at the code's LSB, and rows are sorted by
+  * code. A query box maps to its quantized corners, whose codes bound the
+  * physical span `[s, e)` that can hold matching rows.
+  *
+  * @param dimOrder dimensions ordered by decreasing selectivity
+  */
+final class ZLayout(store: ColumnStore, dimOrder: Array[Int]) {
+  require(dimOrder.sorted.sameElements(Array.range(0, store.numDims)), "dimOrder must be a permutation")
+
+  private val d = store.numDims
+  val curve = new ZCurve(d)
+  private val quant = Quantizer.fromStore(store, dimOrder, curve.maxCoord + 1)
+
+  /** The Z-code of each row of `data`, non-decreasing. */
+  val zvals: Array[Long] = codes()
+
+  /** The store in Z order. */
+  val data: ColumnStore = store.reorder(Sort.order(zvals))
+  java.util.Arrays.sort(zvals) // now in the order of `data`
+
+  private def codes(): Array[Long] = {
+    val coords = new Array[Long](d)
+    Array.tabulate(store.numRows) { i =>
+      var k = 0
+      while (k < d) { coords(k) = quant.quantize(k, store(dimOrder(k), i)); k += 1 }
+      curve.encode(coords)
+    }
+  }
+
+  /** `q`'s box in quantized curve coordinates, its corner codes, and the
+    * rows `[s, e)` of `data` whose codes lie between them.
+    */
+  def span(q: RangeQuery): ZSpan = {
+    val qlo = new Array[Long](d)
+    val qhi = new Array[Long](d)
+    var k = 0
+    while (k < d) {
+      val dim = dimOrder(k)
+      qlo(k) = if (q.lo(dim) == Long.MinValue) 0L else quant.quantize(k, q.lo(dim))
+      qhi(k) = if (q.hi(dim) == Long.MaxValue) curve.maxCoord else quant.quantize(k, q.hi(dim))
+      k += 1
+    }
+    val zlo = curve.encode(qlo)
+    val zhi = curve.encode(qhi)
+    new ZSpan(qlo, qhi, zlo, zhi,
+      SearchUtil.binaryLowerBound(zvals, zlo, 0, zvals.length),
+      SearchUtil.binaryUpperBound(zvals, zhi, 0, zvals.length))
+  }
+}
+
+/** A query's quantized box `[qlo, qhi]`, its corner codes `zlo`/`zhi`, and
+  * the physical span `[s, e)` between them.
+  */
+final class ZSpan(val qlo: Array[Long], val qhi: Array[Long], val zlo: Long, val zhi: Long,
+                  val s: Int, val e: Int)

@@ -46,10 +46,7 @@ final class CdfFlattening private (models: Array[Rmi]) extends Flattening {
 
 object CdfFlattening {
 
-  /** Train per-dimension CDF models on up to `sampleSize` rows of `store`.
-    * An empty store gets a one-value model, so every value maps to a valid
-    * column.
-    */
+  /** Train per-dimension CDF models on up to `sampleSize` rows of `store`. */
   def train(store: ColumnStore, sampleSize: Int = 100000, seed: Long = 7): CdfFlattening = {
     val n = store.numRows
     val rng = new java.util.Random(seed)
@@ -57,7 +54,7 @@ object CdfFlattening {
       if (n <= sampleSize) Array.range(0, n)
       else Array.fill(sampleSize)(rng.nextInt(n))
     val models = Array.tabulate(store.numDims) { d =>
-      val vals = if (n == 0) Array(0L) else rows.map(store(d, _))
+      val vals = rows.map(store(d, _))
       java.util.Arrays.sort(vals)
       Rmi.build(vals, leaves = math.max(8, vals.length / 256))
     }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.model.{Plm, SearchUtil}
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan}
+import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeBoxes, RangeQuery, Scan, Sort}
 
 import scala.collection.mutable.ArrayBuffer
 
@@ -40,33 +40,31 @@ final case class FloodStats(
   * @param layout     dimension ordering + per-grid-dimension column counts
   * @param flattening monotone per-dimension value→[0,1] maps
   * @param aggDim     dimension whose SUM the queries aggregate
-  * @param usePlm     refine with per-cell PLMs (else plain binary search)
-  * @param plmDelta   PLM average-error budget δ (paper §7.8 picks 50)
+  * @param usePlm     refine with per-cell PLMs with average error δ = 50
+  *                   (paper §7.8), else plain binary search
   */
 final class FloodIndex(
     store: ColumnStore,
     val layout: Layout,
     val flattening: Flattening,
     aggDim: Int = 0,
-    usePlm: Boolean = true,
-    plmDelta: Double = 50.0
+    usePlm: Boolean = true
 ) extends MultiDimIndex {
   require(layout.d == store.numDims, "layout must cover every dimension")
   require(layout.numCells <= (1L << 22), s"cell count ${layout.numCells} too large")
 
   val name = "Flood"
 
-  private val d = layout.d
   private val gDims = layout.gridDims
   private val gCols = layout.cols
   private val sDim = layout.sortDim
   private val strides = layout.strides
   private val numCells = layout.numCells.toInt
+  private final val PlmDelta = 50.0
 
   private var dataV: ColumnStore = _
   private var cellStart: Array[Int] = _
-  private var cellMin: Array[Long] = _ // numCells * d, row-major by cell
-  private var cellMax: Array[Long] = _
+  private var cellBoxes: RangeBoxes = _
   private var plms: Array[Plm] = _
   private var aggPrefix: Array[Long] = _
 
@@ -116,48 +114,20 @@ final class FloodIndex(
     }
 
     // sort each cell's rows by the sort dimension
-    val sortCol = store.columns(sDim)
     var c = 0
-    while (c < numCells) {
-      val s = cellStart(c); val e = cellStart(c + 1)
-      if (e - s > 1) {
-        val slice = java.util.Arrays.copyOfRange(perm, s, e)
-        val boxed = slice.map(Int.box)
-        java.util.Arrays.sort(boxed, (a: Integer, b: Integer) => java.lang.Long.compare(sortCol(a), sortCol(b)))
-        var j = 0
-        while (j < boxed.length) { perm(s + j) = boxed(j); j += 1 }
-      }
-      c += 1
-    }
+    while (c < numCells) { Sort.byKey(perm, store.columns(sDim), cellStart(c), cellStart(c + 1)); c += 1 }
 
     dataV = store.reorder(perm)
 
-    // per-cell per-dimension min/max (exactness checks) + per-cell PLMs
-    cellMin = Array.fill(numCells * d)(Long.MaxValue)
-    cellMax = Array.fill(numCells * d)(Long.MinValue)
-    c = 0
-    while (c < numCells) {
-      val s = cellStart(c); val e = cellStart(c + 1)
-      var dd = 0
-      while (dd < d) {
-        val col = dataV.columns(dd)
-        var mn = Long.MaxValue; var mx = Long.MinValue
-        var j = s
-        while (j < e) { val v = col(j); if (v < mn) mn = v; if (v > mx) mx = v; j += 1 }
-        cellMin(c * d + dd) = mn
-        cellMax(c * d + dd) = mx
-        dd += 1
-      }
-      c += 1
-    }
-
+    // per-cell min/max (exactness checks) + per-cell PLMs
+    cellBoxes = RangeBoxes.of(dataV, cellStart)
     plms = new Array[Plm](numCells)
     if (usePlm) {
       val sorted = dataV.columns(sDim)
       c = 0
       while (c < numCells) {
         val s = cellStart(c); val e = cellStart(c + 1)
-        if (e - s >= 32) plms(c) = Plm.build(sorted, s, e, plmDelta)
+        if (e - s >= 32) plms(c) = Plm.build(sorted, s, e, PlmDelta)
         c += 1
       }
     }
@@ -243,10 +213,7 @@ final class FloodIndex(
         var j = 0
         while (j < qf.length) {
           val dim = qf(j)
-          if (dim != sDim) {
-            val exact = cellMin(c * d + dim) >= q.lo(dim) && cellMax(c * d + dim) <= q.hi(dim)
-            if (!exact) { tmp(nCheck) = dim; nCheck += 1 }
-          }
+          if (dim != sDim && !cellBoxes.covers(c, q, dim)) { tmp(nCheck) = dim; nCheck += 1 }
           j += 1
         }
         checkMasks(i) = java.util.Arrays.copyOf(tmp, nCheck)
@@ -292,12 +259,8 @@ final class FloodIndex(
 
   def query(q: RangeQuery): IndexResult = queryWithStats(q).toIndexResult
 
-  def sizeBytes: Long = {
-    var plmBytes = 0L
-    var i = 0
-    while (i < plms.length) { if (plms(i) != null) plmBytes += plms(i).sizeBytes; i += 1 }
-    cellStart.length.toLong * 4 + cellMin.length.toLong * 16 + plmBytes + flattening.sizeBytes
-  }
+  def sizeBytes: Long =
+    cellStart.length.toLong * 4 + cellBoxes.sizeBytes + plmBytes + flattening.sizeBytes
 
   /** PLM metadata share of the index size (paper: >95% of Flood's space). */
   def plmBytes: Long = plms.iterator.filter(_ != null).map(_.sizeBytes).sum

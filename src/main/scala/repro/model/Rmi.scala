@@ -23,8 +23,10 @@ final class Rmi private (
   private val leafCount = leafStartIdx.length - 1
   // Root: linear map value -> expert, fitted on (leafStartVal, expert index),
   // corrected by a local walk so the chosen expert's value range contains v.
-  private val vMin = sorted(0)
-  private val vMax = sorted(n - 1)
+  // An empty model has vMin = vMax = Long.MaxValue: predict is 0 everywhere
+  // and cdf is 0 below Long.MaxValue, 1 at it.
+  private val vMin = if (n == 0) Long.MaxValue else sorted(0)
+  private val vMax = if (n == 0) Long.MaxValue else sorted(n - 1)
   private val rootScale =
     if (vMax == vMin) 0.0 else leafCount.toDouble / (vMax.toDouble - vMin.toDouble)
 
@@ -74,8 +76,8 @@ object Rmi {
 
   /** Build over `sorted` (must be non-decreasing) with ~`leaves` experts. */
   def build(sorted: Array[Long], leaves: Int = 64): Rmi = {
-    require(sorted.nonEmpty, "empty RMI input")
     val n = sorted.length
+    if (n == 0) return new Rmi(sorted, Array(0, 0), Array(Long.MaxValue))
     val k = math.max(1, math.min(leaves, n))
     val starts = new Array[Int](k + 1)
     var e = 0

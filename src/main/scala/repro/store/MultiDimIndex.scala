@@ -41,8 +41,8 @@ trait MultiDimIndex {
   def buildNanos: Long
 }
 
-/** Shared scanning kernels. Every index funnels its candidate physical
-  * ranges through these loops, so per-point scan cost is identical across
+/** The shared scanning kernel. Every index funnels its candidate physical
+  * ranges through `scanRange`, so per-point scan cost is identical across
   * indexes — differences in Table 2 then reflect layout quality, as in the
   * paper.
   */
@@ -91,4 +91,36 @@ object Scan {
   /** Ground-truth COUNT/SUM by brute force — the oracle for property tests. */
   def brute(store: ColumnStore, q: RangeQuery, aggDim: Int = 0): (Long, Long) =
     scanRange(store, q, q.filteredDims, aggDim, 0, store.numRows)
+}
+
+/** The candidate physical ranges of one query: an index adds them while it
+  * traverses its layout, then `scan` reads them all with `Scan.scanRange`.
+  * A range marked exact lies inside the query box, so its rows are counted
+  * without filter checks.
+  */
+final class Candidates(data: ColumnStore, q: RangeQuery, aggDim: Int) {
+  private var ranges = new Array[Int](48) // (start, end, exact) triples
+  private var size = 0
+
+  def add(s: Int, e: Int, exact: Boolean): Unit = {
+    if (size + 3 > ranges.length) ranges = java.util.Arrays.copyOf(ranges, ranges.length * 2)
+    ranges(size) = s; ranges(size + 1) = e; ranges(size + 2) = if (exact) 1 else 0
+    size += 3
+  }
+
+  /** Scan every candidate. Index time runs from `t0` to this call. */
+  def scan(t0: Long): IndexResult = {
+    val t1 = System.nanoTime()
+    val fd = q.filteredDims
+    val none = Array.emptyIntArray
+    var count = 0L; var sum = 0L; var scanned = 0L
+    var i = 0
+    while (i < size) {
+      val s = ranges(i); val e = ranges(i + 1)
+      val (cc, ss) = Scan.scanRange(data, q, if (ranges(i + 2) == 1) none else fd, aggDim, s, e)
+      count += cc; sum += ss; scanned += (e - s).toLong
+      i += 3
+    }
+    IndexResult(count, sum, scanned, t1 - t0, System.nanoTime() - t1)
+  }
 }

@@ -114,7 +114,7 @@ object TableGen {
           Double.NaN, 0L, Double.NaN)
     }
     out += measure(
-      tunePageSize(ps => new RStarTree(store, selOrder, ps, 16, ds.aggDim), wl.train), wl.test)
+      tunePageSize(ps => new RStarTree(store, selOrder, ps, ds.aggDim), wl.train), wl.test)
 
     // Flood: learn the layout (the only index NOT hand-tuned), then load
     val (learned, flood) = learnAndBuild(ds, wl.train, model, seed)

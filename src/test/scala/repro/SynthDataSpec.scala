@@ -8,8 +8,8 @@ import org.apache.spark.sql.functions._
 class SynthDataSpec extends SparkSpec {
 
   test("multi-dimensional generators are deterministic in the seed") {
-    val a = SynthData.perfmonMulti(spark, 2000, seed = 5).agg(sum(col("cpu"))).head.getLong(0)
-    val b = SynthData.perfmonMulti(spark, 2000, seed = 5).agg(sum(col("cpu"))).head.getLong(0)
+    val a = SynthData.perfmonMulti(spark, 2000, seed = 5).agg(sum(col("cpu"))).head().getLong(0)
+    val b = SynthData.perfmonMulti(spark, 2000, seed = 5).agg(sum(col("cpu"))).head().getLong(0)
     assert(a == b)
   }
 
@@ -17,7 +17,7 @@ class SynthDataSpec extends SparkSpec {
     val df = SynthData.salesMulti(spark, 3000, seed = 6)
     val r = df.agg(
       min(col("quantity")), max(col("quantity")),
-      min(col("sale_day")), max(col("sale_day"))).head
+      min(col("sale_day")), max(col("sale_day"))).head()
     assert(r.getLong(0) >= 1L && r.getLong(1) <= 101L)
     assert(r.getLong(2) >= 0L && r.getLong(3) <= 1095L)
   }

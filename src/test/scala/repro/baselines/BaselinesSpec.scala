@@ -2,14 +2,15 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
-import repro.store.{MultiDimIndex, RangeQuery, Scan}
+import repro.core.{CdfFlattening, FloodIndex, Layout}
+import repro.store.{ColumnStore, MultiDimIndex, RangeQuery, Scan}
 
 import scala.util.Random
 
-/** The key correctness property for every baseline: COUNT and SUM match the
-  * brute-force answer on random data and random queries (this exercises
-  * quantization edges, page pruning, BIGMIN skips, tree descent, and bucket
-  * enumeration).
+/** The key correctness property for every baseline, and for Flood beside
+  * them: COUNT and SUM match the brute-force answer on random data and
+  * random queries (this exercises quantization edges, page pruning, BIGMIN
+  * skips, tree descent, bucket enumeration and Flood's cell refinement).
   */
 class BaselinesSpec extends AnyFunSuite {
 
@@ -24,7 +25,8 @@ class BaselinesSpec extends AnyFunSuite {
     new HyperOctree(store, pageSize = 128, aggDim),
     new KdTree(store, selOrder, pageSize = 128, aggDim),
     new GridFile(store, pageSize = 256, aggDim),
-    new RStarTree(store, selOrder, pageSize = 128, 8, aggDim)
+    new RStarTree(store, selOrder, pageSize = 128, aggDim),
+    new FloodIndex(store, Layout(selOrder, Array(4, 4, 2)), CdfFlattening.train(store), aggDim)
   )
 
   private val all = indexes(aggDim = 1)
@@ -129,7 +131,7 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("R* tree: leaves cover all rows") {
-    val rt = new RStarTree(store, selOrder, pageSize = 100, 8)
+    val rt = new RStarTree(store, selOrder, pageSize = 100)
     assert(rt.numLeaves == (store.numRows + 99) / 100)
   }
 
@@ -142,7 +144,8 @@ class BaselinesSpec extends AnyFunSuite {
       new HyperOctree(s2, 64),
       new KdTree(s2, Array(0, 1), 64),
       new GridFile(s2, 64),
-      new RStarTree(s2, Array(0, 1), 64, 8))
+      new RStarTree(s2, Array(0, 1), 64),
+      new FloodIndex(s2, Layout(Array(0, 1), Array(8)), CdfFlattening.train(s2)))
     for (_ <- 0 until 25) {
       val q = TestData.randomQuery(s2, rng)
       val (c, _) = Scan.brute(s2, q)
@@ -159,7 +162,8 @@ class BaselinesSpec extends AnyFunSuite {
       new UBTree(s7, ord, 128),
       new HyperOctree(s7, 128),
       new KdTree(s7, ord, 128),
-      new RStarTree(s7, ord, 128, 8))
+      new RStarTree(s7, ord, 128),
+      new FloodIndex(s7, Layout(ord, Array(4, 3, 2, 1, 1, 2)), CdfFlattening.train(s7)))
     for (_ <- 0 until 25) {
       val q = TestData.randomQuery(s7, rng)
       val (c, _) = Scan.brute(s7, q)
@@ -182,5 +186,31 @@ class BaselinesSpec extends AnyFunSuite {
       fullScanned += store.numRows
     }
     assert(ubScanned < fullScanned, "BIGMIN skipping should avoid full scans overall")
+  }
+
+  test("every index answers on 0-row and 1-row stores") {
+    for (n <- Seq(0, 1)) {
+      val s = ColumnStore.of("a" -> Array.fill(n)(5L), "b" -> Array.fill(n)(-7L), "c" -> Array.fill(n)(0L))
+      val ord = Array(0, 1, 2)
+      val idxs = Seq(
+        new FullScan(s, 1),
+        new ClusteredIndex(s, sortDim = 0, 1),
+        new ZOrderIndex(s, ord, 4, 1),
+        new UBTree(s, ord, 4, 1),
+        new HyperOctree(s, 4, 1),
+        new KdTree(s, ord, 4, 1),
+        new GridFile(s, 4, 1),
+        new RStarTree(s, ord, 4, 1),
+        new FloodIndex(s, Layout(ord, Array(2, 2)), CdfFlattening.train(s), 1))
+      val queries = Seq(
+        RangeQuery.full(3),
+        RangeQuery.of(3, 0 -> (5L, 5L), 1 -> (-7L, -7L)),
+        RangeQuery.of(3, 0 -> (Long.MinValue, 4L)),
+        RangeQuery.of(3, 1 -> (-7L, Long.MaxValue), 2 -> (0L, 10L)))
+      for (q <- queries; idx <- idxs) {
+        val r = idx.query(q)
+        assert((r.count, r.sum) == Scan.brute(s, q, aggDim = 1), s"${idx.name} on $q with $n rows")
+      }
+    }
   }
 }

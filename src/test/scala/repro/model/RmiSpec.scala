@@ -110,6 +110,15 @@ class RmiSpec extends AnyFunSuite {
     assert(const.lowerBound(8L) == 100)
   }
 
+  test("empty input: cdf stays monotone in [0, 1] and every bound is 0") {
+    val empty = Rmi.build(Array.emptyLongArray)
+    val cdfs = Seq(Long.MinValue, -1L, 0L, 1L, Long.MaxValue).map(empty.cdf)
+    assert(cdfs.forall(c => c >= 0.0 && c <= 1.0) && cdfs.zip(cdfs.tail).forall { case (a, b) => a <= b })
+    for (v <- Seq(Long.MinValue, 0L, Long.MaxValue)) {
+      assert(empty.predict(v) == 0 && empty.lowerBound(v) == 0 && empty.upperBound(v) == 0)
+    }
+  }
+
   test("sizeBytes is positive and scales with leaves") {
     val small = Rmi.build(uniform, leaves = 8)
     val large = Rmi.build(uniform, leaves = 512)

@@ -21,13 +21,13 @@ class FloodSparkSpec extends SparkSpec {
 
   test("layout preserves every row exactly once") {
     assert(laidOut.count() == df.count())
-    val before = df.agg(sum(col("quantity"))).head.getLong(0)
-    val after = laidOut.agg(sum(col("quantity"))).head.getLong(0)
+    val before = df.agg(sum(col("quantity"))).head().getLong(0)
+    val after = laidOut.agg(sum(col("quantity"))).head().getLong(0)
     assert(before == after)
   }
 
   test("flood_cell is within [0, numCells)") {
-    val mm = laidOut.agg(min(col("flood_cell")), max(col("flood_cell"))).head
+    val mm = laidOut.agg(min(col("flood_cell")), max(col("flood_cell"))).head()
     assert(mm.getLong(0) >= 0L)
     assert(mm.getLong(1) < layout.layout.numCells)
   }
