@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeQuery}
+import repro.store.{Candidates, ColumnStore, Grid, IndexResult, MultiDimIndex, RangeQuery}
 
 import scala.collection.mutable.ArrayBuffer
 
@@ -43,6 +43,7 @@ final class GridFile(
   private val buckets = new ArrayBuffer[Bucket]()
   private var grid: Array[Int] = _       // block (mixed radix) -> bucket id
   private var counts: Array[Int] = _     // intervals per dimension
+  private var str: Array[Long] = _       // mixed-radix strides of `counts`
   private var rr = 0                     // round-robin split dimension
 
   private var dataV: ColumnStore = _
@@ -59,37 +60,12 @@ final class GridFile(
     lo
   }
 
-  private def strides(cnts: Array[Int]): Array[Long] = {
-    val s = new Array[Long](d)
-    var acc = 1L
-    var k = d - 1
-    while (k >= 0) { s(k) = acc; acc *= cnts(k); k -= 1 }
-    s
-  }
-
-  private def blockOf(coords: Array[Int], str: Array[Long]): Int = {
-    var id = 0L
-    var k = 0
-    while (k < d) { id += coords(k).toLong * str(k); k += 1 }
-    id.toInt
-  }
-
   private def totalBlocks(cnts: Array[Int]): Long = cnts.foldLeft(1L)(_ * _)
 
   /** Reassign every block inside `b`'s box to bucket id `id`. */
-  private def paintBucket(b: Bucket, id: Int, str: Array[Long]): Unit = {
-    val coord = b.blockLo.clone()
-    var done = false
-    while (!done) {
-      grid(blockOf(coord, str)) = id
-      var k = d - 1
-      var carry = true
-      while (carry && k >= 0) {
-        coord(k) += 1
-        if (coord(k) > b.blockHi(k)) { coord(k) = b.blockLo(k); k -= 1 } else carry = false
-      }
-      if (carry) done = true
-    }
+  private def paintBucket(b: Bucket, id: Int): Unit = {
+    val w = new Grid.Walk(str, b.blockLo, b.blockHi)
+    while (!w.done) { grid(w.id.toInt) = id; w.next() }
   }
 
   /** Split a bucket spanning >1 block along `dim` at its middle block. */
@@ -103,8 +79,7 @@ final class GridFile(
     b.blockHi(dim) = mid
     val nbId = buckets.length
     buckets += nb
-    val str = strides(counts)
-    paintBucket(nb, nbId, str)
+    paintBucket(nb, nbId)
     val keep = new ArrayBuffer[Int]()
     for (row <- b.points) {
       if (ivalIdx(dim, store(dim, row)) <= mid) keep += row else nb.points += row
@@ -120,26 +95,23 @@ final class GridFile(
     newCounts(dim) += 1
     if (totalBlocks(newCounts) > blockCap)
       throw new GridFileAborted(s"block count ${totalBlocks(newCounts)} exceeds cap $blockCap")
-    val newStr = strides(newCounts)
-    val oldStr = strides(counts)
     val newGrid = new Array[Int](totalBlocks(newCounts).toInt)
     // copy: new interval j in `dim` maps from old interval (j <= p ? j : j-1)
-    val coord = new Array[Int](d)
-    var done = false
-    while (!done) {
-      val old = coord.clone()
-      old(dim) = if (coord(dim) <= p) coord(dim) else coord(dim) - 1
-      newGrid(blockOf(coord, newStr)) = grid(blockOf(old, oldStr))
-      var k = d - 1
-      var carry = true
-      while (carry && k >= 0) {
-        coord(k) += 1
-        if (coord(k) >= newCounts(k)) { coord(k) = 0; k -= 1 } else carry = false
+    val w = new Grid.Walk(Grid.strides(newCounts), new Array[Int](d), newCounts.map(_ - 1))
+    while (!w.done) {
+      var old = 0L
+      var k = 0
+      while (k < d) {
+        val c = w.coord(k)
+        old += (if (k == dim && c > p) c - 1 else c).toLong * str(k)
+        k += 1
       }
-      if (carry) done = true
+      newGrid(w.id.toInt) = grid(old.toInt)
+      w.next()
     }
     grid = newGrid
     counts = newCounts
+    str = Grid.strides(counts)
     for (b <- buckets) {
       if (b.blockLo(dim) > p) b.blockLo(dim) += 1
       if (b.blockHi(dim) >= p) b.blockHi(dim) += 1
@@ -189,15 +161,16 @@ final class GridFile(
   val buildNanos: Long = {
     val t0 = System.nanoTime()
     counts = Array.fill(d)(1)
+    str = Grid.strides(counts)
     grid = Array(0)
     buckets += new Bucket
-    val coords = new Array[Int](d)
     var row = 0
     val n = store.numRows
     while (row < n) {
+      var block = 0L
       var k = 0
-      while (k < d) { coords(k) = ivalIdx(k, store(k, row)); k += 1 }
-      val bId = grid(blockOf(coords, strides(counts)))
+      while (k < d) { block += ivalIdx(k, store(k, row)) * str(k); k += 1 }
+      val bId = grid(block.toInt)
       buckets(bId).points += row
       var guard = 0
       var splittable = true
@@ -234,21 +207,13 @@ final class GridFile(
       } else { iLo(k) = 0; iHi(k) = counts(k) - 1 }
       k += 1
     }
-    val str = strides(counts)
     val cands = new Candidates(dataV, q, aggDim)
     val seen = new Array[Boolean](buckets.length)
-    val coord = iLo.clone()
-    var done = false
-    while (!done) {
-      val bId = grid(blockOf(coord, str))
+    val w = if (q.isEmpty) Grid.emptyWalk else new Grid.Walk(str, iLo, iHi)
+    while (!w.done) {
+      val bId = grid(w.id.toInt)
       if (!seen(bId)) { seen(bId) = true; cands.add(bucketStart(bId), bucketStart(bId + 1), exact = false) }
-      var kk = d - 1
-      var carry = true
-      while (carry && kk >= 0) {
-        coord(kk) += 1
-        if (coord(kk) > iHi(kk)) { coord(kk) = iLo(kk); kk -= 1 } else carry = false
-      }
-      if (carry) done = true
+      w.next()
     }
     cands.scan(t0)
   }

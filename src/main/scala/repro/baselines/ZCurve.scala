@@ -162,7 +162,8 @@ final class ZLayout(store: ColumnStore, dimOrder: Array[Int]) {
   }
 
   /** `q`'s box in quantized curve coordinates, its corner codes, and the
-    * rows `[s, e)` of `data` whose codes lie between them.
+    * rows `[s, e)` of `data` whose codes lie between them (none when `q` is
+    * empty).
     */
   def span(q: RangeQuery): ZSpan = {
     val qlo = new Array[Long](d)
@@ -176,7 +177,8 @@ final class ZLayout(store: ColumnStore, dimOrder: Array[Int]) {
     }
     val zlo = curve.encode(qlo)
     val zhi = curve.encode(qhi)
-    new ZSpan(qlo, qhi, zlo, zhi,
+    if (q.isEmpty) new ZSpan(qlo, qhi, zlo, zhi, 0, 0) // an inverted range holds no row
+    else new ZSpan(qlo, qhi, zlo, zhi,
       SearchUtil.binaryLowerBound(zvals, zlo, 0, zvals.length),
       SearchUtil.binaryUpperBound(zvals, zhi, 0, zvals.length))
   }

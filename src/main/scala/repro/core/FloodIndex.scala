@@ -137,43 +137,15 @@ final class FloodIndex(
 
   /** Answer `q`, reporting the full per-phase statistics. */
   def queryWithStats(q: RangeQuery): FloodStats = {
-    // ---- projection: intersecting column ranges per grid dimension ----
+    // ---- projection: the cells the query rectangle meets ----
     val t0 = System.nanoTime()
-    val g = gDims.length
-    val cLo = new Array[Int](g)
-    val cHi = new Array[Int](g)
-    var i = 0
-    var nCellsInRect = 1L
-    while (i < g) {
-      val dim = gDims(i)
-      if (q.filters(dim)) {
-        cLo(i) = flattening.colOf(dim, q.lo(dim), gCols(i))
-        cHi(i) = flattening.colOf(dim, q.hi(dim), gCols(i))
-      } else { cLo(i) = 0; cHi(i) = gCols(i) - 1 }
-      nCellsInRect *= (cHi(i) - cLo(i) + 1)
-      i += 1
-    }
-    // enumerate intersecting cells (odometer over coordinate ranges)
+    val proj = layout.project(flattening, q)
     val cellList = new ArrayBuffer[Int]()
-    if (g == 0) cellList += 0
-    else {
-      val coord = cLo.clone()
-      var done = false
-      while (!done) {
-        var id = 0L
-        var k = 0
-        while (k < g) { id += coord(k) * strides(k); k += 1 }
-        val c = id.toInt
-        if (cellStart(c + 1) > cellStart(c)) cellList += c
-        // increment odometer
-        k = g - 1
-        var carry = true
-        while (carry && k >= 0) {
-          coord(k) += 1
-          if (coord(k) > cHi(k)) { coord(k) = cLo(k); k -= 1 } else carry = false
-        }
-        if (carry) done = true
-      }
+    val w = proj.walk(strides)
+    while (!w.done) {
+      val c = w.id.toInt
+      if (cellStart(c + 1) > cellStart(c)) cellList += c
+      w.next()
     }
     val t1 = System.nanoTime()
 
@@ -185,7 +157,7 @@ final class FloodIndex(
     val re = new Array[Int](nCells)
     val checkMasks = new Array[Array[Int]](nCells)
     val qf = q.filteredDims
-    i = 0
+    var i = 0
     while (i < nCells) {
       val c = cellList(i)
       var s = cellStart(c)
@@ -251,7 +223,7 @@ final class FloodIndex(
 
     FloodStats(
       count = count, sum = sum, scanned = scanned, exactPoints = exactPts,
-      cellsInRect = nCellsInRect, nonEmptyCells = nCells.toLong,
+      cellsInRect = proj.numCells, nonEmptyCells = nCells.toLong,
       projectionNanos = t1 - t0, refineNanos = t2 - t1, scanNanos = t3 - t2,
       refined = sortFiltered
     )

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.store.{Grid, RangeQuery}
+
 /** A Flood layout `L = (O, {c_i})` (paper §4.1): `order` is a permutation of
   * the dataset's dimensions whose *last* entry is the sort dimension; the
   * first `d-1` entries form the grid, with `cols(i)` columns for dimension
@@ -26,16 +28,47 @@ final case class Layout(order: Array[Int], cols: Array[Int]) {
     * dimension is most significant, matching the paper's depth-first cell
     * traversal order.
     */
-  def strides: Array[Long] = {
-    val s = new Array[Long](cols.length)
-    var acc = 1L
-    var i = cols.length - 1
-    while (i >= 0) { s(i) = acc; acc *= cols(i); i -= 1 }
-    s
+  def strides: Array[Long] = Grid.strides(cols)
+
+  /** Projection (paper §3.2): the column range of each grid dimension that
+    * the rectangle of `q` meets. Points and bounds go through the same
+    * monotone flattening, so these ranges are exact. An empty query (some
+    * `lo > hi`) meets no cell.
+    */
+  def project(flattening: Flattening, q: RangeQuery): Projection = {
+    val g = d - 1
+    val lo = new Array[Int](g)
+    val hi = new Array[Int](g)
+    var n = if (q.isEmpty) 0L else 1L
+    var i = 0
+    while (i < g) {
+      val dim = order(i)
+      if (q.filters(dim)) {
+        lo(i) = flattening.colOf(dim, q.lo(dim), cols(i))
+        hi(i) = flattening.colOf(dim, q.hi(dim), cols(i))
+      } else hi(i) = cols(i) - 1
+      n *= hi(i) - lo(i) + 1
+      i += 1
+    }
+    new Projection(lo, hi, n)
   }
 
   override def toString: String =
     s"Layout(grid=${gridDims.zip(cols).map { case (d, c) => s"d$d×$c" }.mkString(",")}, sort=d$sortDim)"
+}
+
+/** The cells a query rectangle meets: the inclusive column range
+  * `[lo(i), hi(i)]` of each grid dimension and their number `numCells`
+  * (the cost model's N_c). An empty query has `numCells` 0 and its ranges
+  * are not used.
+  */
+final class Projection(val lo: Array[Int], val hi: Array[Int], val numCells: Long) {
+
+  def isEmpty: Boolean = numCells == 0
+
+  /** Walk the met cells in ascending cell-id order. */
+  def walk(strides: Array[Long]): Grid.Walk =
+    if (isEmpty) Grid.emptyWalk else new Grid.Walk(strides, lo, hi)
 }
 
 object Layout {

@@ -29,10 +29,8 @@ final class RegressionTree private (
 
 object RegressionTree {
 
-  /** Fit a tree on rows `idx` of `(xs, ys)`.
-    *
-    * @param featuresPerSplit number of random feature candidates per split
-    *                         (√d rounded up when 0)
+  /** Fit a tree on rows `idx` of `(xs, ys)`, trying √d (rounded up) random
+    * features per split.
     */
   def fit(
       xs: Array[Array[Double]],
@@ -40,11 +38,10 @@ object RegressionTree {
       idx: Array[Int],
       maxDepth: Int,
       minLeaf: Int,
-      rng: Random,
-      featuresPerSplit: Int = 0
+      rng: Random
   ): RegressionTree = {
     val d = xs(0).length
-    val mtry = if (featuresPerSplit > 0) featuresPerSplit else math.max(1, math.ceil(math.sqrt(d)).toInt)
+    val mtry = math.max(1, math.ceil(math.sqrt(d)).toInt)
 
     val fIdx = scala.collection.mutable.ArrayBuffer[Int]()
     val thr = scala.collection.mutable.ArrayBuffer[Double]()

@@ -18,13 +18,15 @@ import scala.util.Random
   */
 object Calibration {
 
+  private val MaxTotalLog2 = 14
+
   /** A random layout: random dimension ordering, random per-dimension column
-    * counts targeting a random total cell count (paper §4.1.1).
+    * counts targeting a random total cell count of up to 2^13 (paper §4.1.1).
     */
-  def randomLayout(d: Int, rng: Random, maxTotalLog2: Int = 14): Layout = {
+  def randomLayout(d: Int, rng: Random): Layout = {
     val order = rng.shuffle((0 until d).toList).toArray
     val g = d - 1
-    val targetLog2 = 2 + rng.nextInt(math.max(1, maxTotalLog2 - 2))
+    val targetLog2 = 2 + rng.nextInt(math.max(1, MaxTotalLog2 - 2))
     // split targetLog2 bits randomly across the grid dims
     val logs = Array.fill(g)(0)
     var b = 0
@@ -53,17 +55,8 @@ object Calibration {
       for (q <- queries) idx.queryWithStats(q) // warm-up pass
       for (q <- queries) {
         val st: FloodStats = idx.queryWithStats(q)
-        val f = CostFeatures(
-          cellsInRect = st.cellsInRect.toDouble,
-          nonEmptyCells = st.nonEmptyCells.toDouble,
-          ns = st.scanned.toDouble,
-          totalCells = layout.numCells.toDouble,
-          avgCellSize = ds.numRows.toDouble / layout.numCells,
-          numFilteredDims = q.filteredDims.length.toDouble,
-          avgVisitedPerCell = st.scanned.toDouble / math.max(1L, st.nonEmptyCells),
-          fracExact = st.exactPoints.toDouble / math.max(1L, st.scanned),
-          refined = st.refined
-        )
+        val f = CostFeatures.of(layout, ds.numRows, q, st.cellsInRect.toDouble, st.nonEmptyCells.toDouble,
+          st.scanned.toDouble, st.exactPoints.toDouble / math.max(1L, st.scanned))
         val wp = st.projectionNanos.toDouble / math.max(1L, st.cellsInRect)
         val wr = st.refineNanos.toDouble / math.max(1L, st.nonEmptyCells)
         val ws = st.scanNanos.toDouble / math.max(1L, st.scanned)

@@ -1,6 +1,8 @@
 package repro.opt
 
+import repro.core.Layout
 import repro.model.RandomForest
+import repro.store.RangeQuery
 
 /** Per-query statistics that drive the cost model (paper §4.1.1): both the
   * measurable counters `N = {N_c, N_s}` and the layout/query descriptors the
@@ -29,6 +31,18 @@ final case class CostFeatures(
     math.log1p(avgVisitedPerCell),
     fracExact
   )
+}
+
+object CostFeatures {
+
+  /** The features of query `q` under `layout` on `numRows` rows, given the
+    * counters N_c, non-empty cells and N_s and the exact fraction of N_s;
+    * the descriptors derived from them are defined here only.
+    */
+  def of(layout: Layout, numRows: Int, q: RangeQuery,
+         cellsInRect: Double, nonEmptyCells: Double, ns: Double, fracExact: Double): CostFeatures =
+    CostFeatures(cellsInRect, nonEmptyCells, ns, layout.numCells.toDouble, numRows.toDouble / layout.numCells,
+      q.filteredDims.length.toDouble, ns / math.max(1.0, nonEmptyCells), fracExact, q.filters(layout.sortDim))
 }
 
 /** Learned query-time model (paper Eq. 1):

@@ -11,9 +11,10 @@ import scala.util.Random
   * using a sample of D or computed exactly from the query rectangle and
   * layout parameters").
   *
-  * Sample points and query bounds are flattened once (their per-dimension
-  * CDF fractions are precomputed); each (layout, query) evaluation is then a
-  * single pass over the sample with O(1) per-dimension column arithmetic.
+  * Sample points are flattened once (their per-dimension CDF fractions are
+  * precomputed); each (layout, query) evaluation is then the layout's
+  * projection of the query and a single pass over the sample with O(1)
+  * per-dimension column arithmetic.
   */
 final class LayoutEvaluator(
     ds: Dataset,
@@ -42,10 +43,6 @@ final class LayoutEvaluator(
   private val rawVals: Array[Array[Long]] = Array.tabulate(d) { dim =>
     Array.tabulate(m)(i => store(dim, sampleRows(i)))
   }
-  // flattened query bounds
-  private val qFracLo: Array[Array[Double]] = queries.map(q => Array.tabulate(d)(k => flattening.frac(k, q.lo(k))))
-  private val qFracHi: Array[Array[Double]] = queries.map(q => Array.tabulate(d)(k => flattening.frac(k, q.hi(k))))
-
   /** Estimated cost features of query `qi` under `layout`. */
   def features(layout: Layout, qi: Int): CostFeatures = {
     val q = queries(qi)
@@ -53,34 +50,21 @@ final class LayoutEvaluator(
     val gridDims = layout.order
     val cols = layout.cols
     val sortDim = layout.sortDim
-    // intersecting column range per grid dim; exact-interior column range
-    val cLo = new Array[Int](g)
-    val cHi = new Array[Int](g)
-    var rectCells = 1.0
-    var i = 0
-    while (i < g) {
-      val dim = gridDims(i)
-      if (q.filters(dim)) {
-        cLo(i) = Flattening.colOf(qFracLo(qi)(dim), cols(i))
-        cHi(i) = Flattening.colOf(qFracHi(qi)(dim), cols(i))
-      } else { cLo(i) = 0; cHi(i) = cols(i) - 1 }
-      rectCells *= (cHi(i) - cLo(i) + 1)
-      i += 1
-    }
+    val proj = layout.project(flattening, q)
     val sortFiltered = q.filters(sortDim)
     // one pass over the sample: scanned + exact-interior points
     var nsSample = 0
     var exactSample = 0
     var p = 0
-    while (p < m) {
+    while (p < m && !proj.isEmpty) {
       var in = true
       var interior = true
-      i = 0
+      var i = 0
       while (in && i < g) {
         val dim = gridDims(i)
         val c = Flattening.colOf(fracs(dim)(p), cols(i))
-        if (c < cLo(i) || c > cHi(i)) in = false
-        else if (q.filters(dim) && (c == cLo(i) || c == cHi(i))) interior = false
+        if (c < proj.lo(i) || c > proj.hi(i)) in = false
+        else if (q.filters(dim) && (c == proj.lo(i) || c == proj.hi(i))) interior = false
         i += 1
       }
       if (in && sortFiltered) {
@@ -93,19 +77,11 @@ final class LayoutEvaluator(
       }
       p += 1
     }
+    val rectCells = proj.numCells.toDouble
     val ns = math.max(1.0, nsSample * scale)
     val nonEmpty = math.max(1.0, math.min(rectCells, nsSample.toDouble * scale / math.max(1.0, n.toDouble / layout.numCells)))
-    CostFeatures(
-      cellsInRect = rectCells,
-      nonEmptyCells = nonEmpty,
-      ns = ns,
-      totalCells = layout.numCells.toDouble,
-      avgCellSize = n.toDouble / layout.numCells,
-      numFilteredDims = q.filteredDims.length.toDouble,
-      avgVisitedPerCell = ns / nonEmpty,
-      fracExact = if (nsSample == 0) 0.0 else exactSample.toDouble / nsSample,
-      refined = sortFiltered
-    )
+    val fracExact = if (nsSample == 0) 0.0 else exactSample.toDouble / nsSample
+    CostFeatures.of(layout, n, q, rectCells, nonEmpty, ns, fracExact)
   }
 
   /** Average predicted query time (ns) of the workload under `layout`. */
@@ -128,24 +104,24 @@ object LayoutOptimizer {
 
   val MaxTotalCells: Long = 1L << 18
   val MaxColsPerDim: Int = 2048
+  private val DataSampleSize = 4000
+  private val QuerySampleSize = 30
+  private val MaxIters = 12
 
   def optimize(
       ds: Dataset,
       flattening: Flattening,
       trainQueries: Array[RangeQuery],
       model: CostModel,
-      dataSampleSize: Int = 4000,
-      querySampleSize: Int = 30,
-      seed: Long = 31,
-      maxIters: Int = 12
+      seed: Long = 31
   ): Result = {
     val t0 = System.nanoTime()
     val rng = new Random(seed)
     val d = ds.numDims
     val qs =
-      if (trainQueries.length <= querySampleSize) trainQueries
-      else Array.fill(querySampleSize)(trainQueries(rng.nextInt(trainQueries.length)))
-    val eval = new LayoutEvaluator(ds, flattening, qs, dataSampleSize, seed)
+      if (trainQueries.length <= QuerySampleSize) trainQueries
+      else Array.fill(QuerySampleSize)(trainQueries(rng.nextInt(trainQueries.length)))
+    val eval = new LayoutEvaluator(ds, flattening, qs, DataSampleSize, seed)
     val selOrder = Workloads.selectivityOrder(ds.store, qs)
 
     var best: Layout = null
@@ -161,7 +137,7 @@ object LayoutOptimizer {
       var cost = eval.objective(Layout(order, cols), model)
       var iter = 0
       var improved = true
-      while (improved && iter < maxIters) {
+      while (improved && iter < MaxIters) {
         improved = false
         var i = 0
         while (i < g) {

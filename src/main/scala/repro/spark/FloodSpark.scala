@@ -2,8 +2,8 @@ package repro.spark
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.core.{CdfFlattening, Flattening, Layout}
-import repro.store.ColumnStore
+import repro.core.{CdfFlattening, Flattening, Layout, Projection}
+import repro.store.{ColumnStore, RangeQuery}
 
 /** Flood's learned layout as a Spark partitioning/sort scheme with
   * DataFrame-level data skipping.
@@ -76,28 +76,22 @@ object FloodSpark {
       .repartitionByRange(NumPartitions, col("flood_cell"))
       .sortWithinPartitions(col("flood_cell"), col(layout.names(layout.layout.sortDim)))
 
-  /** Driver-side projection: the per-grid-dimension column (bucket) ranges a
-    * query touches. Ranges are inclusive.
+  /** Driver-side projection: the cells of the layout that the rectangle of
+    * `preds` meets. Predicates on columns outside the layout prune nothing;
+    * several on one column intersect.
     */
-  def projectedColRanges(
-      layout: SparkLayout,
-      preds: Seq[(String, Long, Long)]
-  ): Seq[(Int, Int)] = {
-    val byName = preds.map(p => p._1 -> ((p._2, p._3))).toMap
-    val l = layout.layout
-    l.gridDims.indices.map { i =>
-      val dim = l.gridDims(i)
-      val c = l.cols(i)
-      byName.get(layout.names(dim)) match {
-        case Some((lo, hi)) => (layout.flattening.colOf(dim, lo, c), layout.flattening.colOf(dim, hi, c))
-        case None => (0, c - 1)
-      }
+  private def project(layout: SparkLayout, preds: Seq[(String, Long, Long)]): Projection = {
+    val q = RangeQuery.full(layout.layout.d)
+    for ((name, lo, hi) <- preds) {
+      val k = layout.names.indexOf(name)
+      if (k >= 0) { q.lo(k) = math.max(q.lo(k), lo); q.hi(k) = math.min(q.hi(k), hi) }
     }
+    layout.layout.project(layout.flattening, q)
   }
 
   /** Number of cells the query rectangle intersects (skipping effectiveness). */
   def cellsTouched(layout: SparkLayout, preds: Seq[(String, Long, Long)]): Long =
-    projectedColRanges(layout, preds).map { case (lo, hi) => (hi - lo + 1).toLong }.product
+    project(layout, preds).numCells
 
   /** The cell-pruning predicate: decodes each grid coordinate from
     * `flood_cell` with integer arithmetic and keeps only coordinates inside
@@ -105,15 +99,14 @@ object FloodSpark {
     * predicate pushdown.
     */
   def prunePredicate(layout: SparkLayout, preds: Seq[(String, Long, Long)]): Column = {
-    val ranges = projectedColRanges(layout, preds)
+    val proj = project(layout, preds)
     val l = layout.layout
     val strides = l.strides
-    val conds = ranges.indices.map { i =>
+    if (proj.isEmpty) lit(false)
+    else l.cols.indices.map { i =>
       val coord = floor(col("flood_cell") / lit(strides(i))) % lit(l.cols(i).toLong)
-      val (lo, hi) = ranges(i)
-      coord.between(lit(lo.toLong), lit(hi.toLong))
-    }
-    conds.reduceOption(_ && _).getOrElse(lit(true))
+      coord.between(lit(proj.lo(i).toLong), lit(proj.hi(i).toLong))
+    }.reduceOption(_ && _).getOrElse(lit(true))
   }
 
   /** Answer a conjunctive range query over the laid-out DataFrame: cell

@@ -18,6 +18,13 @@ final case class RangeQuery(lo: Array[Long], hi: Array[Long]) {
   /** Dimensions that carry a filter. */
   lazy val filteredDims: Array[Int] = (0 until numDims).filter(filters).toArray
 
+  /** Whether some range is inverted (`lo > hi`), so no row can match. */
+  def isEmpty: Boolean = {
+    var d = 0
+    while (d < numDims && lo(d) <= hi(d)) d += 1
+    d < numDims
+  }
+
   /** Whether value `v` passes dimension `d`'s filter. */
   @inline def contains(d: Int, v: Long): Boolean = v >= lo(d) && v <= hi(d)
 

@@ -1,5 +1,6 @@
 package repro.workload
 
+import repro.model.SearchUtil
 import repro.store.{ColumnStore, RangeQuery}
 
 import scala.util.Random
@@ -74,15 +75,6 @@ object Workloads {
   def sortedColumns(store: ColumnStore): Array[Array[Long]] =
     store.columns.map { c => val s = c.clone(); java.util.Arrays.sort(s); s }
 
-  private def rankOf(sorted: Array[Long], v: Long): Int = {
-    var lo = 0; var hi = sorted.length
-    while (lo < hi) {
-      val m = (lo + hi) >>> 1
-      if (sorted(m) < v) lo = m + 1 else hi = m
-    }
-    lo
-  }
-
   /** Instantiate one query of `tpl` anchored at data row `anchor`, with
     * per-range-dimension rank-width `width` (fraction of rows).
     */
@@ -101,7 +93,7 @@ object Workloads {
     }
     for (dim <- tpl.rangeDims) {
       val v = store(dim, anchor)
-      val r = rankOf(sorted(dim), v)
+      val r = SearchUtil.binaryLowerBound(sorted(dim), v, 0, n)
       val radius = math.max(1, (width * n / 2).toInt)
       q.lo(dim) = sorted(dim)(math.max(0, r - radius))
       q.hi(dim) = sorted(dim)(math.min(n - 1, r + radius))

@@ -57,6 +57,27 @@ class BaselinesSpec extends AnyFunSuite {
     for (idx <- all) assert(idx.query(q).count == 0, idx.name)
   }
 
+  test("every index returns (0, 0) on inverted ranges; Flood and the Grid File scan nothing") {
+    val rng = new Random(107)
+    val queries = for (dim <- 0 until 4; _ <- 0 until 5) yield {
+      val q = TestData.randomQuery(store, rng)
+      val v = store(dim, rng.nextInt(store.numRows))
+      q.lo(dim) = v + 1 + rng.nextInt(100); q.hi(dim) = v
+      q
+    }
+    for (q <- queries; idx <- all) {
+      val r = idx.query(q)
+      assert((r.count, r.sum) == ((0L, 0L)), s"${idx.name} on $q")
+      idx match {
+        case f: FloodIndex =>
+          val st = f.queryWithStats(q)
+          assert((st.scanned, st.cellsInRect, st.nonEmptyCells) == ((0L, 0L, 0L)), s"Flood on $q")
+        case _: GridFile => assert(r.scanned == 0, s"Grid File on $q")
+        case _ =>
+      }
+    }
+  }
+
   test("all baselines handle point lookups") {
     val rng = new Random(93)
     for (_ <- 0 until 10) {

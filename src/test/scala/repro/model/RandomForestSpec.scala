@@ -58,7 +58,7 @@ class RandomForestSpec extends AnyFunSuite {
     val xs = Array(Array(0.0), Array(1.0), Array(2.0), Array(3.0))
     val ys = Array(0.0, 0.0, 10.0, 10.0)
     val t = RegressionTree.fit(xs, ys, Array(0, 1, 2, 3), maxDepth = 2, minLeaf = 1,
-      new Random(1), featuresPerSplit = 1)
+      new Random(1))
     assert(t.predict(Array(0.5)) == 0.0)
     assert(t.predict(Array(2.5)) == 10.0)
   }
@@ -68,7 +68,7 @@ class RandomForestSpec extends AnyFunSuite {
     val xs = Array.fill(300)(Array(rng.nextDouble()))
     val ys = xs.map(x => x(0))
     val shallow = RegressionTree.fit(xs, ys, Array.range(0, 300), maxDepth = 1, minLeaf = 1,
-      new Random(2), featuresPerSplit = 1)
+      new Random(2))
     assert(shallow.numNodes <= 3)
   }
 

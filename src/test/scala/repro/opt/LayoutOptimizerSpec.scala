@@ -2,7 +2,7 @@ package repro.opt
 
 import repro.SparkSpec
 import repro.core.{CdfFlattening, FloodIndex, Layout}
-import repro.store.Scan
+import repro.store.{RangeQuery, Scan}
 import repro.workload.{Datasets, Workloads}
 
 class LayoutOptimizerSpec extends SparkSpec {
@@ -74,6 +74,22 @@ class LayoutOptimizerSpec extends SparkSpec {
       assert(f.ns >= 1 && f.ns <= ds.numRows * 2)
       assert(f.fracExact >= 0 && f.fracExact <= 1)
       assert(f.nonEmptyCells >= 1)
+    }
+  }
+
+  test("inverted queries give finite features with N_c = 0, estimated and measured") {
+    val inverted = Array.tabulate(ds.numDims) { dim =>
+      val q = RangeQuery(wl.train(dim).lo.clone(), wl.train(dim).hi.clone())
+      q.lo(dim) = 10; q.hi(dim) = 5
+      q
+    }
+    val eval = new LayoutEvaluator(ds, flat, inverted, sampleSize = 2000, seed = 17)
+    val l = Layout.uniform(Array.range(0, ds.numDims), 1024)
+    val estimated = inverted.indices.map(eval.features(l, _))
+    val measured = Calibration.collectExamples(ds, inverted, numLayouts = 2, seed = 18).map(_.features)
+    for (f <- estimated ++ measured) {
+      assert(f.cellsInRect == 0, f)
+      assert(f.toArray.forall(x => !x.isNaN && !x.isInfinite), f)
     }
   }
 

@@ -120,6 +120,13 @@ class FloodSparkSpec extends SparkSpec {
     assert(all == layout.layout.numCells)
   }
 
+  test("an inverted range touches no cell and prunes every row") {
+    for (preds <- Seq(Seq(("shipdate", 900L, 200L)), Seq(("quantity", 5L, 20L), ("receiptdate", 800L, 100L)))) {
+      assert(FloodSpark.cellsTouched(layout, preds) == 0, preds)
+      assert(laidOut.filter(FloodSpark.prunePredicate(layout, preds)).count() == 0, preds)
+    }
+  }
+
   test("prunePredicate keeps exactly the rows whose cells intersect") {
     val preds = Seq(("shipdate", 300L, 700L))
     val pruned = laidOut.filter(FloodSpark.prunePredicate(layout, preds))
