@@ -43,7 +43,8 @@ final case class Layout(order: Array[Int], cols: Array[Int]) {
     var i = 0
     while (i < g) {
       val dim = order(i)
-      if (q.filters(dim)) {
+      // a one-column dimension always has the range [0, 0]
+      if (cols(i) > 1 && q.filters(dim)) {
         lo(i) = flattening.colOf(dim, q.lo(dim), cols(i))
         hi(i) = flattening.colOf(dim, q.hi(dim), cols(i))
       } else hi(i) = cols(i) - 1

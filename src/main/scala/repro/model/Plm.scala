@@ -10,7 +10,9 @@ import scala.collection.mutable.ArrayBuffer
   * error per slice is at most `delta`. The greedy pass keeps, for the current
   * slice anchored at `(v0, i0)`, the minimum slope over its points; that
   * minimum keeps the segment below every point of the slice. When the
-  * average error exceeds `delta`, a new slice starts.
+  * average error exceeds `delta`, a new slice starts. The slice's error sum
+  * under a slope `m` is `ΣD - cnt·i0 - m·Σ(v - v0)`, so running sums make the
+  * build one pass, O(1) per distinct key.
   *
   * Lookup finds the segment by binary search over slice start values (the
   * paper's cache-optimized B-tree; a flat sorted array here) and evaluates
@@ -45,6 +47,9 @@ final class Plm private (
 
   /** Model size in bytes. */
   def sizeBytes: Long = startVal.length.toLong * (8 + 4 + 8)
+
+  /** First value of each slice, ascending (for the per-slice error checks). */
+  private[model] def sliceStarts: Array[Long] = startVal.clone()
 }
 
 object Plm {
@@ -54,49 +59,44 @@ object Plm {
     */
   def build(values: Array[Long], s: Int, e: Int, delta: Double): Plm = {
     val n = e - s
+    if (n <= 0) return new Plm(Array(0L), Array(0), Array(0.0), 0)
     val sv = new ArrayBuffer[Long]()
     val si = new ArrayBuffer[Int]()
     val sl = new ArrayBuffer[Double]()
-    if (n <= 0) return new Plm(Array(0L), Array(0), Array(0.0), 0)
 
-    // distinct values with first-occurrence indices
-    var i = s
-    var sliceStartV = values(s)
-    var sliceStartI = 0
+    // current slice: anchor (v0, i0) and running sums over its distinct
+    // values after the anchor (first-occurrence index, offset from v0)
+    var v0 = values(s)
+    var i0 = 0
     var minSlope = Double.MaxValue
-    val ptsV = new ArrayBuffer[Long]() // distinct values in current slice (after anchor)
-    val ptsI = new ArrayBuffer[Int]()
+    var cnt = 0
+    var sumI = 0L
+    var sumDv = 0.0
 
     def flush(): Unit = {
       val sp = if (minSlope == Double.MaxValue) 0.0 else minSlope
-      sv += sliceStartV; si += sliceStartI; sl += sp
+      sv += v0; si += i0; sl += sp
     }
 
-    i = s + 1
+    var i = s + 1
     var prevV = values(s)
     while (i < e) {
       val v = values(i)
       if (v != prevV) {
         val d = i - s // first occurrence index of v, relative to s
-        val cand = (d - sliceStartI).toDouble / (v.toDouble - sliceStartV.toDouble)
-        val newMin = math.min(minSlope, cand)
-        // average error over the slice's points under the tentative slope
-        var errSum = 0.0
-        var k = 0
-        while (k < ptsV.length) {
-          errSum += ptsI(k) - (sliceStartI + newMin * (ptsV(k).toDouble - sliceStartV.toDouble))
-          k += 1
-        }
-        errSum += d - (sliceStartI + newMin * (v.toDouble - sliceStartV.toDouble))
-        val avgErr = errSum / (ptsV.length + 2) // anchor + accumulated + candidate
-        if (avgErr > delta) {
+        val dv = v.toDouble - v0.toDouble
+        val newMin = math.min(minSlope, (d - i0).toDouble / dv)
+        // average error over anchor + accumulated points + candidate under
+        // the tentative slope
+        val errSum = (sumI + d - (cnt + 1).toLong * i0).toDouble - newMin * (sumDv + dv)
+        if (errSum / (cnt + 2) > delta) {
           flush()
-          sliceStartV = v; sliceStartI = d
+          v0 = v; i0 = d
           minSlope = Double.MaxValue
-          ptsV.clear(); ptsI.clear()
+          cnt = 0; sumI = 0L; sumDv = 0.0
         } else {
           minSlope = newMin
-          ptsV += v; ptsI += d
+          cnt += 1; sumI += d; sumDv += dv
         }
         prevV = v
       }

@@ -11,8 +11,10 @@ package repro.model
   * flattening requires (a point and a query bound must map to consistent
   * grid columns).
   *
-  * `predict` returns an approximate index; `lowerBound`/`upperBound` correct
-  * it to exact positions with a bounded exponential search.
+  * The root's guess is corrected to the right expert by an exponential
+  * search over the expert start values. `predict` returns an approximate
+  * index; `lowerBound`/`upperBound` correct it to exact positions with the
+  * same bounded exponential search.
   */
 final class Rmi private (
     sorted: Array[Long],
@@ -22,7 +24,8 @@ final class Rmi private (
   private val n = sorted.length
   private val leafCount = leafStartIdx.length - 1
   // Root: linear map value -> expert, fitted on (leafStartVal, expert index),
-  // corrected by a local walk so the chosen expert's value range contains v.
+  // corrected by an exponential search over the expert start values from the
+  // root's guess, so the chosen expert's value range contains v.
   // An empty model has vMin = vMax = Long.MaxValue: predict is 0 everywhere
   // and cdf is 0 below Long.MaxValue, 1 at it.
   private val vMin = if (n == 0) Long.MaxValue else sorted(0)
@@ -34,10 +37,9 @@ final class Rmi private (
     var e = ((v.toDouble - vMin.toDouble) * rootScale).toInt
     if (e < 0) e = 0
     if (e >= leafCount) e = leafCount - 1
-    // local correction: walk to the expert whose [startVal, nextStartVal) holds v
-    while (e > 0 && v < leafStartVal(e)) e -= 1
-    while (e < leafCount - 1 && v >= leafStartVal(e + 1)) e += 1
-    e
+    // the last expert whose start value is <= v; O(log) in the guess's error
+    // even where many experts start at one duplicated value
+    math.max(0, SearchUtil.upperBoundRange(leafStartVal, v, e, 0, leafCount) - 1)
   }
 
   /** Approximate index of `v` in the sorted array (monotone in `v`). */

@@ -15,6 +15,49 @@ class RmiSpec extends AnyFunSuite {
     java.util.Arrays.sort(a); a
   }
 
+  /** `Rmi.predict` with the expert found by linear walks from the root's
+    * guess, over the experts `Rmi.build` makes: the reference for the
+    * exponential-search correction.
+    */
+  private def walkPredict(sorted: Array[Long], leaves: Int)(v: Long): Int = {
+    val n = sorted.length
+    val k = math.max(1, math.min(leaves, n))
+    val starts = Array.tabulate(k + 1)(e => ((e.toLong * n) / k).toInt)
+    val startVals = Array.tabulate(k)(e => sorted(starts(e)))
+    val (vMin, vMax) = (sorted(0), sorted(n - 1))
+    if (v <= vMin) return 0
+    if (v >= vMax) return n - 1
+    var e = ((v.toDouble - vMin.toDouble) * (k.toDouble / (vMax.toDouble - vMin.toDouble))).toInt
+    e = math.max(0, math.min(k - 1, e))
+    while (e > 0 && v < startVals(e)) e -= 1
+    while (e < k - 1 && v >= startVals(e + 1)) e += 1
+    val i0 = starts(e)
+    val i1 = math.min(n - 1, starts(e + 1))
+    val (v0, v1) = (sorted(i0), sorted(i1))
+    val p =
+      if (v1 == v0) i0
+      else i0 + ((v.toDouble - v0.toDouble) / (v1.toDouble - v0.toDouble) * (i1 - i0)).toInt
+    math.max(i0, math.min(i1, p))
+  }
+
+  test("the expert search gives the linear walk's prediction, with many experts per value") {
+    val rng = new Random(16)
+    // 11 and 50 distinct values (tpch discount and quantity) with n/256
+    // experts as CdfFlattening.train builds them, and the skewed array
+    val few = Seq(11, 50).map { k =>
+      val a = Array.fill(100000)(rng.nextInt(k).toLong + 1)
+      java.util.Arrays.sort(a); a
+    }
+    for (a <- few :+ skewed) {
+      val leaves = math.max(8, a.length / 256)
+      val rmi = Rmi.build(a, leaves)
+      val ref = walkPredict(a, leaves) _
+      val (lo, hi) = (a.head - 2, a.last + 2)
+      val vs = (lo to math.min(hi, lo + 200)) ++ Seq.fill(5000)(lo + rng.nextLong(hi - lo + 1))
+      for (v <- vs) assert(rmi.predict(v) == ref(v), s"v=$v")
+    }
+  }
+
   test("predict is within bounds") {
     val rmi = Rmi.build(uniform)
     for (v <- Seq(-100L, 0L, 1500L, 29997L, 50000L)) {
