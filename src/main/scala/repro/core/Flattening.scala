@@ -17,8 +17,11 @@ trait Flattening extends Serializable {
   /** Monotone map from value to [0, 1]. */
   def frac(dim: Int, v: Long): Double
 
-  /** Column of value `v` when dimension `dim` has `c` columns. */
-  final def colOf(dim: Int, v: Long, c: Int): Int = Flattening.colOf(frac(dim, v), c)
+  /** Column of value `v` when dimension `dim` has `c` columns. A
+    * one-column dimension is column 0 without evaluating the flattening.
+    */
+  final def colOf(dim: Int, v: Long, c: Int): Int =
+    if (c == 1) 0 else Flattening.colOf(frac(dim, v), c)
 
   /** Per-model size in bytes, for the index-size accounting. */
   def sizeBytes: Long

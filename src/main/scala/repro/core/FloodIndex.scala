@@ -84,8 +84,7 @@ final class FloodIndex(
     var id = 0L
     var i = 0
     while (i < gDims.length) {
-      // a one-column dimension always has column 0
-      if (gCols(i) > 1) id += flattening.colOf(gDims(i), store(gDims(i), row), gCols(i)) * strides(i)
+      id += flattening.colOf(gDims(i), store(gDims(i), row), gCols(i)) * strides(i)
       i += 1
     }
     id.toInt

@@ -43,8 +43,7 @@ final case class Layout(order: Array[Int], cols: Array[Int]) {
     var i = 0
     while (i < g) {
       val dim = order(i)
-      // a one-column dimension always has the range [0, 0]
-      if (cols(i) > 1 && q.filters(dim)) {
+      if (q.filters(dim)) {
         lo(i) = flattening.colOf(dim, q.lo(dim), cols(i))
         hi(i) = flattening.colOf(dim, q.hi(dim), cols(i))
       } else hi(i) = cols(i) - 1

@@ -58,8 +58,7 @@ object FloodSpark {
     val l = layout.layout
     val flat = layout.flattening
     val strides = l.strides
-    // a one-column dimension always has column 0, so it adds no term
-    val parts = l.gridDims.indices.filter(l.cols(_) > 1).map { i =>
+    val parts = l.gridDims.indices.map { i =>
       val dim = l.gridDims(i)
       val c = l.cols(i)
       val colOfUdf = udf((v: Long) => flat.colOf(dim, v, c).toLong)
