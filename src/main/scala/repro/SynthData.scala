@@ -16,7 +16,7 @@ object SynthData {
   /** Sales-like data (6 dims, fairly uniform — flattening should be ~neutral,
     * paper §7.4). Mimics an order-line table from a commercial sales DB.
     */
-  def salesMulti(spark: SparkSession, rows: Long, seed: Long = 11): DataFrame = {
+  def salesMulti(spark: SparkSession, rows: Long, seed: Long): DataFrame = {
     spark.range(rows).select(
       (rand(seed)     * 1000000).cast(LongType)        as "order_id",
       (rand(seed + 1) * 50000).cast(LongType)          as "customer_id",
@@ -30,7 +30,7 @@ object SynthData {
   /** TPC-H lineitem-like data (7 dims, fairly uniform, with a correlated
     * receiptdate = shipdate + small delta, as in real TPC-H).
     */
-  def lineitemMulti(spark: SparkSession, rows: Long, seed: Long = 12): DataFrame = {
+  def lineitemMulti(spark: SparkSession, rows: Long, seed: Long): DataFrame = {
     val ship = (rand(seed + 5) * 2526).cast(LongType)
     spark.range(rows).select(
       (rand(seed)     * (rows / 4 + 1)).cast(LongType) as "orderkey",
@@ -47,7 +47,7 @@ object SynthData {
     * mixture of Gaussians, recent-heavy timestamps, zipfian categories) —
     * flattening should matter here (paper: 20–30×).
     */
-  def osmMulti(spark: SparkSession, rows: Long, seed: Long = 13): DataFrame = {
+  def osmMulti(spark: SparkSession, rows: Long, seed: Long): DataFrame = {
     import spark.implicits._
     // city clusters in the US Northeast bounding box, scaled by 1e4
     val cluster = (rand(seed + 2) * 5).cast(IntegerType)
@@ -70,7 +70,7 @@ object SynthData {
   /** Perfmon-like data (6 dims, non-uniform and often highly skewed metrics
     * from machine monitoring logs).
     */
-  def perfmonMulti(spark: SparkSession, rows: Long, seed: Long = 14): DataFrame = {
+  def perfmonMulti(spark: SparkSession, rows: Long, seed: Long): DataFrame = {
     spark.range(rows).select(
       (rand(seed) * 31536000L).cast(LongType)                      as "log_ts",
       (pow(rand(seed + 1), 2.5) * 500).cast(LongType)              as "machine",

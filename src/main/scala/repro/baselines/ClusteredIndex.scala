@@ -1,11 +1,12 @@
 package repro.baselines
 
-import repro.model.Rmi
+import repro.model.{Rmi, SearchUtil}
 import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan, Sort}
 
 /** Baseline 2 (paper §7.2): clustered single-dimensional index. Points are
   * sorted by `sortDim` (the workload's most selective dimension) and a
-  * learned B-tree (RMI) over the sorted column locates range endpoints.
+  * learned B-tree (RMI) over the sorted column guesses each range endpoint,
+  * which an exponential search of the column corrects.
   * Queries without a filter on `sortDim` span the whole store: a full scan.
   */
 final class ClusteredIndex(store: ColumnStore, val sortDim: Int, aggDim: Int = 0)
@@ -27,8 +28,9 @@ final class ClusteredIndex(store: ColumnStore, val sortDim: Int, aggDim: Int = 0
 
   def query(q: RangeQuery): IndexResult = {
     val t0 = System.nanoTime()
-    val s = rmi.lowerBound(q.lo(sortDim))
-    val e = rmi.upperBound(q.hi(sortDim))
+    val col = dataV.columns(sortDim)
+    val s = SearchUtil.lowerBound(col, q.lo(sortDim), rmi.predict(q.lo(sortDim)))
+    val e = SearchUtil.upperBound(col, q.hi(sortDim), rmi.predict(q.hi(sortDim)))
     val t1 = System.nanoTime()
     // the sorted dimension is exact by construction; check the others
     val checks = q.filteredDims.filter(_ != sortDim)

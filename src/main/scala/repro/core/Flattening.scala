@@ -49,39 +49,21 @@ final class CdfFlattening private (models: Array[Rmi]) extends Flattening {
 
 object CdfFlattening {
 
-  /** Train per-dimension CDF models on up to `sampleSize` rows of `store`. */
-  def train(store: ColumnStore, sampleSize: Int = 100000, seed: Long = 7): CdfFlattening = {
+  private val SampleSize = 100000
+  private val SampleSeed = 7L
+
+  /** Train per-dimension CDF models on up to 100k sampled rows of `store`. */
+  def train(store: ColumnStore): CdfFlattening = {
     val n = store.numRows
-    val rng = new java.util.Random(seed)
+    val rng = new java.util.Random(SampleSeed)
     val rows =
-      if (n <= sampleSize) Array.range(0, n)
-      else Array.fill(sampleSize)(rng.nextInt(n))
+      if (n <= SampleSize) Array.range(0, n)
+      else Array.fill(SampleSize)(rng.nextInt(n))
     val models = Array.tabulate(store.numDims) { d =>
       val vals = rows.map(store(d, _))
       java.util.Arrays.sort(vals)
       Rmi.build(vals, leaves = math.max(8, vals.length / 256))
     }
     new CdfFlattening(models)
-  }
-}
-
-/** Non-flattened baseline: equal-width columns between each dimension's min
-  * and max (the §3 basic grid; used by the Fig. 11 ablation).
-  */
-final class LinearFlattening private (mins: Array[Long], ranges: Array[Double]) extends Flattening {
-  def frac(dim: Int, v: Long): Double = {
-    val f = (v.toDouble - mins(dim).toDouble) / ranges(dim)
-    if (f < 0) 0.0 else if (f > 1) 1.0 else f
-  }
-  def sizeBytes: Long = mins.length.toLong * 16
-}
-
-object LinearFlattening {
-  def fromStore(store: ColumnStore): LinearFlattening = {
-    val mins = Array.tabulate(store.numDims)(store.min)
-    val ranges = Array.tabulate(store.numDims) { d =>
-      math.max(1.0, store.max(d).toDouble - mins(d).toDouble + 1.0)
-    }
-    new LinearFlattening(mins, ranges)
   }
 }

@@ -19,8 +19,7 @@ final case class FloodStats(
     nonEmptyCells: Long,
     projectionNanos: Long,
     refineNanos: Long,
-    scanNanos: Long,
-    refined: Boolean
+    scanNanos: Long
 ) {
   def toIndexResult: IndexResult =
     IndexResult(count, sum, scanned, projectionNanos + refineNanos, scanNanos)
@@ -32,23 +31,22 @@ final case class FloodStats(
   * spaced by `flattening` (learned CDFs in the full system); the last
   * dimension sorts points within each cell. Queries are answered by
   * projection (find intersecting cells), refinement (narrow each cell's
-  * physical range on the sort dimension via a per-cell PLM + exponential
-  * search), and scan (count/sum points, skipping filter checks inside exact
-  * sub-ranges and answering exact ranges from prefix sums — §7.1).
+  * physical range on the sort dimension: a per-cell PLM with average error
+  * δ = 50 (paper §7.8) plus exponential search in cells of at least 32
+  * rows, binary search in smaller ones), and scan (count/sum points,
+  * skipping filter checks inside exact sub-ranges and answering exact
+  * ranges from prefix sums — §7.1).
   *
   * @param store      input data (any row order)
   * @param layout     dimension ordering + per-grid-dimension column counts
   * @param flattening monotone per-dimension value→[0,1] maps
   * @param aggDim     dimension whose SUM the queries aggregate
-  * @param usePlm     refine with per-cell PLMs with average error δ = 50
-  *                   (paper §7.8), else plain binary search
   */
 final class FloodIndex(
     store: ColumnStore,
     val layout: Layout,
     val flattening: Flattening,
-    aggDim: Int = 0,
-    usePlm: Boolean = true
+    aggDim: Int = 0
 ) extends MultiDimIndex {
   require(layout.d == store.numDims, "layout must cover every dimension")
   require(layout.numCells <= (1L << 22), s"cell count ${layout.numCells} too large")
@@ -61,6 +59,7 @@ final class FloodIndex(
   private val strides = layout.strides
   private val numCells = layout.numCells.toInt
   private final val PlmDelta = 50.0
+  private final val PlmMinRows = 32
 
   private var dataV: ColumnStore = _
   private var cellStart: Array[Int] = _
@@ -122,14 +121,12 @@ final class FloodIndex(
     // per-cell min/max (exactness checks) + per-cell PLMs
     cellBoxes = RangeBoxes.of(dataV, cellStart)
     plms = new Array[Plm](numCells)
-    if (usePlm) {
-      val sorted = dataV.columns(sDim)
-      c = 0
-      while (c < numCells) {
-        val s = cellStart(c); val e = cellStart(c + 1)
-        if (e - s >= 32) plms(c) = Plm.build(sorted, s, e, PlmDelta)
-        c += 1
-      }
+    val sorted = dataV.columns(sDim)
+    c = 0
+    while (c < numCells) {
+      val s = cellStart(c); val e = cellStart(c + 1)
+      if (e - s >= PlmMinRows) plms(c) = Plm.build(sorted, s, e, PlmDelta)
+      c += 1
     }
 
     aggPrefix = dataV.prefixSums(aggDim)
@@ -224,8 +221,7 @@ final class FloodIndex(
     FloodStats(
       count = count, sum = sum, scanned = scanned, exactPoints = exactPts,
       cellsInRect = proj.numCells, nonEmptyCells = nCells.toLong,
-      projectionNanos = t1 - t0, refineNanos = t2 - t1, scanNanos = t3 - t2,
-      refined = sortFiltered
+      projectionNanos = t1 - t0, refineNanos = t2 - t1, scanNanos = t3 - t2
     )
   }
 

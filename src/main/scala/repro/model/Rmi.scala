@@ -11,25 +11,26 @@ package repro.model
   * flattening requires (a point and a query bound must map to consistent
   * grid columns).
   *
-  * The root's guess is corrected to the right expert by an exponential
-  * search over the expert start values. `predict` returns an approximate
-  * index; `lowerBound`/`upperBound` correct it to exact positions with the
-  * same bounded exponential search.
+  * The model keeps only its parameters — each expert's start index and start
+  * value, and the largest value — not the array it was trained on. The
+  * root's guess is corrected to the right expert by an exponential search
+  * over the expert start values. `predict` returns an approximate index; a
+  * caller that owns the sorted array corrects it to an exact position with
+  * `SearchUtil.lowerBound`/`upperBound`.
   */
 final class Rmi private (
-    sorted: Array[Long],
     leafStartIdx: Array[Int], // expert e covers sorted[leafStartIdx(e), leafStartIdx(e+1))
-    leafStartVal: Array[Long] // first value of each expert's slice
+    leafStartVal: Array[Long], // first value of each expert's slice
+    vMax: Long // last value of the sorted array
 ) extends Serializable {
-  private val n = sorted.length
   private val leafCount = leafStartIdx.length - 1
+  private val n = leafStartIdx(leafCount)
   // Root: linear map value -> expert, fitted on (leafStartVal, expert index),
   // corrected by an exponential search over the expert start values from the
   // root's guess, so the chosen expert's value range contains v.
   // An empty model has vMin = vMax = Long.MaxValue: predict is 0 everywhere
   // and cdf is 0 below Long.MaxValue, 1 at it.
-  private val vMin = if (n == 0) Long.MaxValue else sorted(0)
-  private val vMax = if (n == 0) Long.MaxValue else sorted(n - 1)
+  private val vMin = leafStartVal(0)
   private val rootScale =
     if (vMax == vMin) 0.0 else leafCount.toDouble / (vMax.toDouble - vMin.toDouble)
 
@@ -49,8 +50,8 @@ final class Rmi private (
     val e = expertOf(v)
     val i0 = leafStartIdx(e)
     val i1 = math.min(n - 1, leafStartIdx(e + 1)) // anchor at next slice start
-    val v0 = sorted(i0)
-    val v1 = sorted(i1)
+    val v0 = leafStartVal(e)
+    val v1 = if (e + 1 < leafCount) leafStartVal(e + 1) else vMax
     val p =
       if (v1 == v0) i0
       else i0 + ((v.toDouble - v0.toDouble) / (v1.toDouble - v0.toDouble) * (i1 - i0)).toInt
@@ -64,12 +65,6 @@ final class Rmi private (
     (predict(v) + 1).toDouble / n
   }
 
-  /** Exact index of the first value `>= v` (n if none). */
-  def lowerBound(v: Long): Int = SearchUtil.lowerBound(sorted, v, predict(v))
-
-  /** Exact index of the last value `<= v` plus one, i.e. exclusive upper bound. */
-  def upperBound(v: Long): Int = SearchUtil.upperBound(sorted, v, predict(v))
-
   /** Model size in bytes. */
   def sizeBytes: Long = leafStartIdx.length.toLong * 4 + leafStartVal.length.toLong * 8 + 32
 }
@@ -79,12 +74,12 @@ object Rmi {
   /** Build over `sorted` (must be non-decreasing) with ~`leaves` experts. */
   def build(sorted: Array[Long], leaves: Int = 64): Rmi = {
     val n = sorted.length
-    if (n == 0) return new Rmi(sorted, Array(0, 0), Array(Long.MaxValue))
+    if (n == 0) return new Rmi(Array(0, 0), Array(Long.MaxValue), Long.MaxValue)
     val k = math.max(1, math.min(leaves, n))
     val starts = new Array[Int](k + 1)
     var e = 0
     while (e <= k) { starts(e) = ((e.toLong * n) / k).toInt; e += 1 }
     val startVals = Array.tabulate(k)(i => sorted(starts(i)))
-    new Rmi(sorted, starts, startVals)
+    new Rmi(starts, startVals, sorted(n - 1))
   }
 }

@@ -17,8 +17,6 @@ final case class IndexResult(
     scanNanos: Long
 ) {
   def totalNanos: Long = indexNanos + scanNanos
-  def scanOverhead: Double = scanned.toDouble / math.max(1L, count).toDouble
-  def timePerScanNs: Double = scanNanos.toDouble / math.max(1L, scanned).toDouble
 }
 
 /** Common interface of Flood and every baseline (paper §7.2): an index is

@@ -15,6 +15,14 @@ import scala.collection.mutable.ArrayBuffer
   */
 object TableGen {
 
+  private val RunSeed = 3L
+  private val CalibDataset = "sales"
+  private val CalibRows = 100000
+  private val CalibLayouts = 8
+  private val CalibSeed = 23L
+  private val Table3CalibLayouts = 6
+  private val Table3Seed = 5L
+
   /** Aggregated per-index metrics in the units of the paper's Table 2:
     * SO (ratio), TPS (ns/point), ST (ms), IT (ms), TT (ms).
     */
@@ -88,8 +96,8 @@ object TableGen {
   /** Build every index (tuned on the train set) for a dataset and measure
     * the test set. Returns Table-2 rows plus the Table-4 build times.
     */
-  def runDataset(ds: Dataset, model: CostModel, seed: Long = 3): DatasetRun = {
-    val wl = Workloads.standard(ds, seed = seed)
+  def runDataset(ds: Dataset, model: CostModel): DatasetRun = {
+    val wl = Workloads.standard(ds, seed = RunSeed)
     val store = ds.store
     val selOrder = Workloads.selectivityOrder(store, wl.train)
     val out = new ArrayBuffer[IndexMetrics]()
@@ -117,7 +125,7 @@ object TableGen {
       tunePageSize(ps => new RStarTree(store, selOrder, ps, ds.aggDim), wl.train), wl.test)
 
     // Flood: learn the layout (the only index NOT hand-tuned), then load
-    val (learned, flood) = learnAndBuild(ds, wl.train, model, seed)
+    val (learned, flood) = learnAndBuild(ds, wl.train, model, RunSeed)
     out += measure(flood, wl.test)
 
     DatasetRun(ds, out.toSeq, learned.learnNanos / 1e9, flood.buildNanos / 1e9,
@@ -128,11 +136,10 @@ object TableGen {
     * an arbitrary — possibly synthetic — dataset suffices; Table 3 verifies
     * robustness across choices).
     */
-  def calibrateOnce(spark: SparkSession, name: String = "sales", rows: Int = 100000,
-                    numLayouts: Int = 8, seed: Long = 23): CostModel = {
-    val ds = Datasets.load(spark, name, rows, seed = 91)
-    val wl = Workloads.standard(ds, seed = seed)
-    Calibration.calibrate(ds, wl.train, numLayouts, seed)
+  def calibrateOnce(spark: SparkSession): CostModel = {
+    val ds = Datasets.load(spark, CalibDataset, CalibRows, seed = 91)
+    val wl = Workloads.standard(ds, seed = CalibSeed)
+    Calibration.calibrate(ds, wl.train, CalibLayouts, CalibSeed)
   }
 
   // ------------------------------------------------------------------
@@ -178,19 +185,18 @@ object TableGen {
   // Table 3: cost-model robustness — layouts learned with models calibrated
   // on each dataset, evaluated everywhere (diagonal = "native" model)
   // ------------------------------------------------------------------
-  def table3(spark: SparkSession, rows: Map[String, Int], calibLayouts: Int = 6,
-             seed: Long = 5): String = {
+  def table3(spark: SparkSession, rows: Map[String, Int]): String = {
     val names = Datasets.Names
     val dss = names.map(n => Datasets.load(spark, n, rows(n)))
-    val wls = dss.map(ds => Workloads.standard(ds, seed = seed))
+    val wls = dss.map(ds => Workloads.standard(ds, seed = Table3Seed))
     val models = dss.zip(wls).map { case (ds, wl) =>
-      Calibration.calibrate(ds, wl.train, calibLayouts, seed)
+      Calibration.calibrate(ds, wl.train, Table3CalibLayouts, Table3Seed)
     }
     // tt(modelIdx)(dataIdx)
     val tt = Array.ofDim[Double](names.length, names.length)
     for (mi <- names.indices; di <- names.indices) {
       val ds = dss(di); val wl = wls(di)
-      val (_, flood) = learnAndBuild(ds, wl.train, models(mi), seed)
+      val (_, flood) = learnAndBuild(ds, wl.train, models(mi), Table3Seed)
       tt(mi)(di) = measure(flood, wl.test).ttMs
     }
     val sb = new StringBuilder

@@ -31,32 +31,22 @@ object Datasets {
 
   val Names: Seq[String] = Seq("sales", "tpch", "osm", "perfmon")
 
-  /** Load a dataset by name at `rows` records. */
+  /** Load a dataset by name at `rows` records; its dimensions are the
+    * generator's columns, in the generator's order.
+    */
   def load(spark: SparkSession, name: String, rows: Int, seed: Long = 42): Dataset = {
-    val (df, cols, aggCol) = name match {
-      case "sales" =>
-        (SynthData.salesMulti(spark, rows, seed),
-          Seq("order_id", "customer_id", "product_id", "quantity", "price_cents", "sale_day"),
-          "price_cents")
-      case "tpch" =>
-        (SynthData.lineitemMulti(spark, rows, seed),
-          Seq("orderkey", "partkey", "suppkey", "quantity", "discount", "shipdate", "receiptdate"),
-          "quantity")
-      case "osm" =>
-        (SynthData.osmMulti(spark, rows, seed),
-          Seq("osm_id", "ts", "lat", "lon", "rec_type", "category"),
-          "osm_id")
-      case "perfmon" =>
-        (SynthData.perfmonMulti(spark, rows, seed),
-          Seq("log_ts", "machine", "cpu", "mem_mb", "swap_mb", "loadavg"),
-          "cpu")
+    val (df, aggCol) = name match {
+      case "sales"   => (SynthData.salesMulti(spark, rows, seed), "price_cents")
+      case "tpch"    => (SynthData.lineitemMulti(spark, rows, seed), "quantity")
+      case "osm"     => (SynthData.osmMulti(spark, rows, seed), "osm_id")
+      case "perfmon" => (SynthData.perfmonMulti(spark, rows, seed), "cpu")
       case other => throw new IllegalArgumentException(s"unknown dataset $other")
     }
-    val store = ColumnStore.fromDataFrame(df, cols)
+    val store = ColumnStore.fromDataFrame(df, df.columns.toSeq)
     Dataset(name, store, store.dimIndex(aggCol))
   }
 
-  /** Load at the default bench scale. */
-  def loadBench(spark: SparkSession, name: String, seed: Long = 42): Dataset =
-    load(spark, name, BenchRows(name), seed)
+  /** Load at the default bench scale, with `load`'s default seed. */
+  def loadBench(spark: SparkSession, name: String): Dataset =
+    load(spark, name, BenchRows(name))
 }

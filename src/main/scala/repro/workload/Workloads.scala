@@ -14,6 +14,9 @@ import scala.util.Random
   */
 object Workloads {
 
+  /** Seed of the row sample `dimSelectivity` measures on. */
+  private val SelectivitySeed = 5L
+
   /** A filter template: which dimensions get range filters and which get
     * equality filters.
     */
@@ -172,8 +175,8 @@ object Workloads {
     * dimension, measured on a row sample; 1.0 for never-filtered dimensions.
     * (Used to order dimensions for Flood and the tuned baselines.)
     */
-  def dimSelectivity(store: ColumnStore, queries: Array[RangeQuery], seed: Long = 5): Array[Double] = {
-    val rng = new Random(seed)
+  def dimSelectivity(store: ColumnStore, queries: Array[RangeQuery]): Array[Double] = {
+    val rng = new Random(SelectivitySeed)
     val sample = Array.fill(math.min(20000, store.numRows))(rng.nextInt(store.numRows))
     val sums = Array.fill(store.numDims)(0.0)
     val cnts = Array.fill(store.numDims)(0)

@@ -9,7 +9,7 @@ import scala.util.Random
 class FlatteningSpec extends AnyFunSuite {
 
   private val store = TestData.randomStore(5000, 4, seed = 61)
-  private val cdf = CdfFlattening.train(store, sampleSize = 5000)
+  private val cdf = CdfFlattening.train(store)
   private val lin = LinearFlattening.fromStore(store)
 
   test("frac is within [0,1] for both flattenings") {
@@ -67,7 +67,9 @@ class FlatteningSpec extends AnyFunSuite {
   }
 
   test("flattening trained on a sample still covers the full data range") {
-    val small = CdfFlattening.train(store, sampleSize = 200, seed = 64)
+    // 200 distinct random rows, as `FloodSpark.learnLayout` trains on a sample
+    val rows = new Random(64).shuffle((0 until store.numRows).toList).take(200).toArray
+    val small = CdfFlattening.train(new ColumnStore(store.names, store.columns.map(c => rows.map(c(_)))))
     for (d <- 0 until 4) {
       assert(small.colOf(d, store.min(d), 8) == 0 || small.frac(d, store.min(d)) <= 0.2)
       assert(small.colOf(d, store.max(d), 8) == 7 || small.frac(d, store.max(d)) >= 0.8)
@@ -81,7 +83,7 @@ class FlatteningSpec extends AnyFunSuite {
 
   test("constant dimension maps everything to one column") {
     val s = ColumnStore.of("k" -> Array.fill(100)(5L))
-    val f = CdfFlattening.train(s, sampleSize = 100)
+    val f = CdfFlattening.train(s)
     assert((0 until 100).forall(_ => f.colOf(0, 5L, 4) == f.colOf(0, 5L, 4)))
     val l = LinearFlattening.fromStore(s)
     assert(l.colOf(0, 5L, 4) >= 0 && l.colOf(0, 5L, 4) < 4)

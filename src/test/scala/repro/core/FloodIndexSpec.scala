@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
+import repro.model.SearchUtil
 import repro.store.{ColumnStore, RangeQuery, Scan}
 
 import scala.util.Random
@@ -9,7 +10,7 @@ import scala.util.Random
 class FloodIndexSpec extends AnyFunSuite {
 
   private val store = TestData.randomStore(3000, 4, seed = 71)
-  private val flat = CdfFlattening.train(store, sampleSize = 3000)
+  private val flat = CdfFlattening.train(store)
   private val layout = Layout(Array(0, 1, 2, 3), Array(8, 4, 4))
   private val flood = new FloodIndex(store, layout, flat, aggDim = 1)
 
@@ -48,26 +49,43 @@ class FloodIndexSpec extends AnyFunSuite {
     }
   }
 
-  test("correct with binary-search refinement (no PLM)") {
-    val rng = new Random(75)
-    val idx = new FloodIndex(store, layout, flat, aggDim = 1, usePlm = false)
-    for (_ <- 0 until 50) {
-      val q = TestData.randomQuery(store, rng)
-      val r = idx.query(q)
-      val (c, s) = Scan.brute(store, q, aggDim = 1)
-      assert(r.count == c && r.sum == s)
+  /** Points a query scans: every non-empty cell of the projection, narrowed
+    * by a binary search of the sort column when the query filters it.
+    */
+  private def referenceScanned(idx: FloodIndex, q: RangeQuery): Long = {
+    val l = idx.layout
+    val ct = idx.cellTable
+    val sortCol = idx.data.columns(l.sortDim)
+    val (lo, hi) = (q.lo(l.sortDim), q.hi(l.sortDim))
+    var scanned = 0L
+    val w = l.project(idx.flattening, q).walk(l.strides)
+    while (!w.done) {
+      var s = ct(w.id.toInt)
+      var e = ct(w.id.toInt + 1)
+      if (q.filters(l.sortDim)) {
+        s = SearchUtil.binaryLowerBound(sortCol, lo, s, e)
+        e = SearchUtil.binaryUpperBound(sortCol, hi, s, e)
+      }
+      scanned += e - s
+      w.next()
     }
+    scanned
   }
 
-  test("PLM and binary-search refinement agree point for point") {
-    val rng = new Random(76)
-    val a = new FloodIndex(store, layout, flat, aggDim = 0, usePlm = true)
-    val b = new FloodIndex(store, layout, flat, aggDim = 0, usePlm = false)
-    for (_ <- 0 until 40) {
+  test("refinement scans the binary-searched range of every cell") {
+    val coarse = new FloodIndex(store, Layout(Array(0, 1, 2, 3), Array(4, 2, 2)), flat, aggDim = 1)
+    // sorted by the 8-valued dimension: refinement bounds fall inside runs of duplicates
+    val dupSort = new FloodIndex(store, Layout(Array(0, 1, 3, 2), Array(6, 3, 1)), flat, aggDim = 1)
+    val smallCells = flood.cellTable.zip(flood.cellTable.tail).count { case (s, e) => e > s && e - s < 32 }
+    // every cell of `coarse` is refined by its PLM, most of `flood`'s by binary search
+    assert(coarse.cellTable.zip(coarse.cellTable.tail).forall { case (s, e) => e - s >= 32 })
+    assert(smallCells > layout.numCells / 2, s"$smallCells cells under 32 rows")
+    val rng = new Random(75)
+    for (idx <- Seq(flood, coarse, dupSort); i <- 0 until 80) {
       val q = TestData.randomQuery(store, rng)
-      val ra = a.queryWithStats(q)
-      val rb = b.queryWithStats(q)
-      assert(ra.count == rb.count && ra.sum == rb.sum && ra.scanned == rb.scanned)
+      val r = idx.queryWithStats(q)
+      assert(r.scanned == referenceScanned(idx, q), s"layout ${idx.layout} query $i: $q")
+      assert((r.count, r.sum) == Scan.brute(store, q, aggDim = 1), s"layout ${idx.layout} query $i: $q")
     }
   }
 
@@ -140,13 +158,11 @@ class FloodIndexSpec extends AnyFunSuite {
     assert(rf.count == rc.count)
   }
 
-  test("stats: projection/refine/scan times are non-negative, refined flag tracks sort filter") {
-    val qSort = RangeQuery.of(4, layout.sortDim -> (0L, 100L))
-    val qGrid = RangeQuery.of(4, 0 -> (0L, 100L))
-    val rs = flood.queryWithStats(qSort)
-    val rg = flood.queryWithStats(qGrid)
-    assert(rs.refined && !rg.refined)
-    assert(rs.projectionNanos >= 0 && rs.refineNanos >= 0 && rs.scanNanos >= 0)
+  test("stats: projection/refine/scan times are non-negative") {
+    for (q <- Seq(RangeQuery.of(4, layout.sortDim -> (0L, 100L)), RangeQuery.of(4, 0 -> (0L, 100L)))) {
+      val r = flood.queryWithStats(q)
+      assert(r.projectionNanos >= 0 && r.refineNanos >= 0 && r.scanNanos >= 0)
+    }
   }
 
   test("empty-result query") {

@@ -16,8 +16,9 @@ class RmiSpec extends AnyFunSuite {
   }
 
   /** `Rmi.predict` with the expert found by linear walks from the root's
-    * guess, over the experts `Rmi.build` makes: the reference for the
-    * exponential-search correction.
+    * guess, over the experts `Rmi.build` makes, reading the spline anchors
+    * from the sorted array itself: the reference for the exponential-search
+    * correction and for the model's stored expert boundaries.
     */
   private def walkPredict(sorted: Array[Long], leaves: Int)(v: Long): Int = {
     val n = sorted.length
@@ -43,17 +44,20 @@ class RmiSpec extends AnyFunSuite {
   test("the expert search gives the linear walk's prediction, with many experts per value") {
     val rng = new Random(16)
     // 11 and 50 distinct values (tpch discount and quantity) with n/256
-    // experts as CdfFlattening.train builds them, and the skewed array
+    // experts as CdfFlattening.train builds them, the skewed, uniform and
+    // duplicate-heavy arrays, and 1- and 2-row arrays
     val few = Seq(11, 50).map { k =>
       val a = Array.fill(100000)(rng.nextInt(k).toLong + 1)
       java.util.Arrays.sort(a); a
     }
-    for (a <- few :+ skewed) {
+    val tiny = Seq(Array(42L), Array(5L, 5L), Array(-3L, 10L))
+    for (a <- few ++ Seq(skewed, uniform, dup) ++ tiny) {
       val leaves = math.max(8, a.length / 256)
       val rmi = Rmi.build(a, leaves)
       val ref = walkPredict(a, leaves) _
       val (lo, hi) = (a.head - 2, a.last + 2)
-      val vs = (lo to math.min(hi, lo + 200)) ++ Seq.fill(5000)(lo + rng.nextLong(hi - lo + 1))
+      val vs = (lo to math.min(hi, lo + 200)) ++ Seq.fill(5000)(lo + rng.nextLong(hi - lo + 1)) ++
+        Seq(Long.MinValue, Long.MaxValue)
       for (v <- vs) assert(rmi.predict(v) == ref(v), s"v=$v")
     }
   }
@@ -118,7 +122,7 @@ class RmiSpec extends AnyFunSuite {
     val rng = new Random(13)
     for (_ <- 0 until 500) {
       val v = rng.nextLong(30010) - 5
-      assert(rmi.lowerBound(v) == SearchUtil.binaryLowerBound(uniform, v, 0, uniform.length))
+      assert(SearchUtil.lowerBound(uniform, v, rmi.predict(v)) == SearchUtil.binaryLowerBound(uniform, v, 0, uniform.length))
     }
   }
 
@@ -127,7 +131,7 @@ class RmiSpec extends AnyFunSuite {
     val rng = new Random(14)
     for (_ <- 0 until 500) {
       val v = dup(rng.nextInt(dup.length)) + rng.nextInt(3) - 1
-      assert(rmi.upperBound(v) == SearchUtil.binaryUpperBound(dup, v, 0, dup.length))
+      assert(SearchUtil.upperBound(dup, v, rmi.predict(v)) == SearchUtil.binaryUpperBound(dup, v, 0, dup.length))
     }
   }
 
@@ -147,18 +151,21 @@ class RmiSpec extends AnyFunSuite {
     val one = Rmi.build(Array(42L))
     assert(one.predict(42L) == 0)
     assert(one.cdf(41L) == 0.0 && one.cdf(42L) == 1.0)
-    val const = Rmi.build(Array.fill(100)(7L))
-    assert(const.lowerBound(7L) == 0)
-    assert(const.upperBound(7L) == 100)
-    assert(const.lowerBound(8L) == 100)
+    val sevens = Array.fill(100)(7L)
+    val const = Rmi.build(sevens)
+    assert(SearchUtil.lowerBound(sevens, 7L, const.predict(7L)) == 0)
+    assert(SearchUtil.upperBound(sevens, 7L, const.predict(7L)) == 100)
+    assert(SearchUtil.lowerBound(sevens, 8L, const.predict(8L)) == 100)
   }
 
   test("empty input: cdf stays monotone in [0, 1] and every bound is 0") {
-    val empty = Rmi.build(Array.emptyLongArray)
+    val none = Array.emptyLongArray
+    val empty = Rmi.build(none)
     val cdfs = Seq(Long.MinValue, -1L, 0L, 1L, Long.MaxValue).map(empty.cdf)
     assert(cdfs.forall(c => c >= 0.0 && c <= 1.0) && cdfs.zip(cdfs.tail).forall { case (a, b) => a <= b })
     for (v <- Seq(Long.MinValue, 0L, Long.MaxValue)) {
-      assert(empty.predict(v) == 0 && empty.lowerBound(v) == 0 && empty.upperBound(v) == 0)
+      val p = empty.predict(v)
+      assert(p == 0 && SearchUtil.lowerBound(none, v, p) == 0 && SearchUtil.upperBound(none, v, p) == 0)
     }
   }
 

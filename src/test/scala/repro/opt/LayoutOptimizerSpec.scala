@@ -20,7 +20,7 @@ class LayoutOptimizerSpec extends SparkSpec {
   }
 
   test("calibrated model predicts positive times") {
-    val eval = new LayoutEvaluator(ds, flat, wl.train, sampleSize = 2000, seed = 10)
+    val eval = new LayoutEvaluator(ds, flat, wl.train, 2000, 10)
     val l = Layout.uniform(Array.range(0, ds.numDims), 256)
     assert(eval.objective(l, model) > 0)
   }
@@ -36,7 +36,7 @@ class LayoutOptimizerSpec extends SparkSpec {
 
   test("learned layout's objective is no worse than the uniform default") {
     val r = LayoutOptimizer.optimize(ds, flat, wl.train, model, seed = 12)
-    val eval = new LayoutEvaluator(ds, flat, wl.train, sampleSize = 4000, seed = 12)
+    val eval = new LayoutEvaluator(ds, flat, wl.train, 4000, 12)
     val default = Layout.uniform(
       Workloads.selectivityOrder(ds.store, wl.train), targetCells = 4096)
     assert(eval.objective(r.layout, model) <= eval.objective(default, model) * 1.001)
@@ -66,7 +66,7 @@ class LayoutOptimizerSpec extends SparkSpec {
   }
 
   test("evaluator feature estimates are in sane ranges") {
-    val eval = new LayoutEvaluator(ds, flat, wl.train, sampleSize = 2000, seed = 15)
+    val eval = new LayoutEvaluator(ds, flat, wl.train, 2000, 15)
     val l = Layout.uniform(Array.range(0, ds.numDims), 1024)
     for (qi <- wl.train.indices.take(10)) {
       val f = eval.features(l, qi)
@@ -83,7 +83,7 @@ class LayoutOptimizerSpec extends SparkSpec {
       q.lo(dim) = 10; q.hi(dim) = 5
       q
     }
-    val eval = new LayoutEvaluator(ds, flat, inverted, sampleSize = 2000, seed = 17)
+    val eval = new LayoutEvaluator(ds, flat, inverted, 2000, 17)
     val l = Layout.uniform(Array.range(0, ds.numDims), 1024)
     val estimated = inverted.indices.map(eval.features(l, _))
     val measured = Calibration.collectExamples(ds, inverted, numLayouts = 2, seed = 18).map(_.features)
@@ -94,7 +94,7 @@ class LayoutOptimizerSpec extends SparkSpec {
   }
 
   test("estimated Ns tracks measured Ns within an order of magnitude") {
-    val eval = new LayoutEvaluator(ds, flat, wl.train, sampleSize = 4000, seed = 16)
+    val eval = new LayoutEvaluator(ds, flat, wl.train, 4000, 16)
     val l = Layout(Workloads.selectivityOrder(ds.store, wl.train), Array(8, 8, 4, 2, 1, 1))
     val flood = new FloodIndex(ds.store, l, flat, ds.aggDim)
     var estSum = 0.0; var measSum = 0.0

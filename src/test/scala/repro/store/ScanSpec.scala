@@ -57,13 +57,5 @@ class ScanSpec extends AnyFunSuite {
   test("IndexResult derived metrics") {
     val r = IndexResult(count = 10, sum = 100, scanned = 40, indexNanos = 1000, scanNanos = 3000)
     assert(r.totalNanos == 4000)
-    assert(r.scanOverhead == 4.0)
-    assert(r.timePerScanNs == 75.0)
-  }
-
-  test("IndexResult avoids division by zero on empty results") {
-    val r = IndexResult(0, 0, 0, 10, 10)
-    assert(!r.scanOverhead.isNaN)
-    assert(!r.timePerScanNs.isNaN)
   }
 }

@@ -2,6 +2,7 @@ package repro.tables
 
 import repro.SparkSpec
 import repro.baselines.FullScan
+import repro.opt.Calibration
 import repro.workload.{Datasets, Workloads}
 
 /** Smoke tests of the table harness at tiny scale (the real numbers come
@@ -35,8 +36,9 @@ class TableGenSpec extends SparkSpec {
   }
 
   test("runDataset produces a row for every index including Flood") {
-    val model = TableGen.calibrateOnce(spark, rows = 3000, numLayouts = 3)
-    val run = TableGen.runDataset(Datasets.load(spark, "sales", 3000, seed = 25), model)
+    val ds = Datasets.load(spark, "sales", 3000, seed = 25)
+    val model = Calibration.calibrate(ds, Workloads.standard(ds).train, numLayouts = 3)
+    val run = TableGen.runDataset(ds, model)
     val names = run.metrics.map(_.name)
     for (n <- Seq("Full Scan", "Clustered", "Z Order", "UB tree", "Hyperoctree",
                   "K-d tree", "Grid File", "R* tree", "Flood"))
