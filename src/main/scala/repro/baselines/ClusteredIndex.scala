@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.model.{Rmi, SearchUtil}
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan, Sort}
+import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Sort}
 
 /** Baseline 2 (paper §7.2): clustered single-dimensional index. Points are
   * sorted by `sortDim` (the workload's most selective dimension) and a
@@ -31,12 +31,10 @@ final class ClusteredIndex(store: ColumnStore, val sortDim: Int, aggDim: Int = 0
     val col = dataV.columns(sortDim)
     val s = SearchUtil.lowerBound(col, q.lo(sortDim), rmi.predict(q.lo(sortDim)))
     val e = SearchUtil.upperBound(col, q.hi(sortDim), rmi.predict(q.hi(sortDim)))
-    val t1 = System.nanoTime()
     // the sorted dimension is exact by construction; check the others
-    val checks = q.filteredDims.filter(_ != sortDim)
-    val (count, sum) = Scan.scanRange(dataV, q, checks, aggDim, s, e)
-    val t2 = System.nanoTime()
-    IndexResult(count, sum, math.max(0, e - s).toLong, t1 - t0, t2 - t1)
+    val cands = new Candidates(dataV, q, aggDim)
+    cands.add(s, e, q.filteredMask & ~(1L << sortDim))
+    cands.scan(t0)
   }
 
   def sizeBytes: Long = rmi.sizeBytes

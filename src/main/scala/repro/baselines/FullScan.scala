@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan}
+import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeQuery}
 
 /** Baseline 1 (paper §7.2): visit every point, accessing only the columns
   * present in the query filter.
@@ -12,8 +12,8 @@ final class FullScan(store: ColumnStore, aggDim: Int = 0) extends MultiDimIndex 
 
   def query(q: RangeQuery): IndexResult = {
     val t0 = System.nanoTime()
-    val (count, sum) = Scan.scanRange(store, q, q.filteredDims, aggDim, 0, store.numRows)
-    val t1 = System.nanoTime()
-    IndexResult(count, sum, store.numRows.toLong, 0L, t1 - t0)
+    val cands = new Candidates(store, q, aggDim)
+    cands.add(0, store.numRows, q.filteredMask)
+    cands.scan(t0)
   }
 }

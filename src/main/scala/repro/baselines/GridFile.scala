@@ -209,10 +209,10 @@ final class GridFile(
     }
     val cands = new Candidates(dataV, q, aggDim)
     val seen = new Array[Boolean](buckets.length)
-    val w = if (q.isEmpty) Grid.emptyWalk else new Grid.Walk(str, iLo, iHi)
+    val w = new Grid.Walk(str, iLo, iHi)
     while (!w.done) {
       val bId = grid(w.id.toInt)
-      if (!seen(bId)) { seen(bId) = true; cands.add(bucketStart(bId), bucketStart(bId + 1), exact = false) }
+      if (!seen(bId)) { seen(bId) = true; cands.add(bucketStart(bId), bucketStart(bId + 1), q.filteredMask) }
       w.next()
     }
     cands.scan(t0)

@@ -17,9 +17,9 @@ private[baselines] object RangeNode {
 /** What the k-d tree, the R-tree and the hyperoctree share (paper §7.2,
   * Appendix A): the store reordered by the tree's permutation, the tight
   * min/max box of every node, and one descent that prunes nodes whose box
-  * misses the query and scans leaves whose box it covers without filter
-  * checks. Each tree supplies only its partitioning rule — the permutation
-  * and the nodes over it.
+  * misses the query and checks a leaf's rows only on the dimensions whose
+  * query range does not cover the leaf's box. Each tree supplies only its
+  * partitioning rule — the permutation and the nodes over it.
   */
 private[baselines] final class RangeTree(store: ColumnStore, perm: Array[Int], root: RangeNode) {
 
@@ -55,7 +55,7 @@ private[baselines] final class RangeTree(store: ColumnStore, perm: Array[Int], r
     val cands = new Candidates(data, q, aggDim)
     def visit(n: RangeNode): Unit =
       if (boxes.intersects(n.id, q)) {
-        if (n.isLeaf) cands.add(n.s, n.e, boxes.covers(n.id, q))
+        if (n.isLeaf) cands.add(n.s, n.e, boxes.checks(n.id, q))
         else n.children.foreach(visit)
       }
     visit(root)

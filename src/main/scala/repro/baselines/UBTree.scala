@@ -40,7 +40,7 @@ final class UBTree(
         // take the rest of the page holding this position (quantization is
         // coarse, so the scan checks the raw values of every point)
         val pageEnd = math.min(span.e, (pos / pageSize + 1) * pageSize)
-        cands.add(pos, pageEnd, exact = false)
+        cands.add(pos, pageEnd, q.filteredMask)
         pos = pageEnd
       } else {
         val next = z.curve.bigmin(code, span.zlo, span.zhi)

@@ -39,7 +39,7 @@ final class ZOrderIndex(
       var pg = span.s / pageSize
       while (pg <= (span.e - 1) / pageSize) {
         if (pages.intersects(pg, q))
-          cands.add(math.max(span.s, pg * pageSize), math.min(span.e, (pg + 1) * pageSize), exact = false)
+          cands.add(math.max(span.s, pg * pageSize), math.min(span.e, (pg + 1) * pageSize), pages.checks(pg, q))
         pg += 1
       }
     }

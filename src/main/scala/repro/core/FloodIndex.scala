@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.model.{Plm, SearchUtil}
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeBoxes, RangeQuery, Scan, Sort}
+import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeBoxes, RangeQuery, Sort}
 
 import scala.collection.mutable.ArrayBuffer
 
@@ -33,9 +33,9 @@ final case class FloodStats(
   * projection (find intersecting cells), refinement (narrow each cell's
   * physical range on the sort dimension: a per-cell PLM with average error
   * δ = 50 (paper §7.8) plus exponential search in cells of at least 32
-  * rows, binary search in smaller ones), and scan (count/sum points,
-  * skipping filter checks inside exact sub-ranges and answering exact
-  * ranges from prefix sums — §7.1).
+  * rows, binary search in smaller ones), and scan (the shared `Candidates`
+  * scan: filter checks only on the dimensions a cell's box is not inside,
+  * exact ranges answered from prefix sums — §7.1).
   *
   * @param store      input data (any row order)
   * @param layout     dimension ordering + per-grid-dimension column counts
@@ -65,7 +65,6 @@ final class FloodIndex(
   private var cellStart: Array[Int] = _
   private var cellBoxes: RangeBoxes = _
   private var plms: Array[Plm] = _
-  private var aggPrefix: Array[Long] = _
 
   val buildNanos: Long = {
     val t0 = System.nanoTime()
@@ -129,7 +128,7 @@ final class FloodIndex(
       c += 1
     }
 
-    aggPrefix = dataV.prefixSums(aggDim)
+    dataV.prefixSums(aggDim) // kept by the store for exact ranges
   }
 
   /** Answer `q`, reporting the full per-phase statistics. */
@@ -146,16 +145,15 @@ final class FloodIndex(
     }
     val t1 = System.nanoTime()
 
-    // ---- refinement: narrow each cell's physical range on the sort dim ----
+    // ---- refinement: narrow each cell's physical range on the sort dim;
+    // the refined sort dim needs no per-row check ----
     val sortFiltered = q.filters(sDim)
     val sortCol = dataV.columns(sDim)
-    val nCells = cellList.length
-    val rs = new Array[Int](nCells)
-    val re = new Array[Int](nCells)
-    val checkMasks = new Array[Array[Int]](nCells)
-    val qf = q.filteredDims
+    val unsorted = ~(1L << sDim)
+    val cands = new Candidates(dataV, q, aggDim)
+    var exactPts = 0L
     var i = 0
-    while (i < nCells) {
+    while (i < cellList.length) {
       val c = cellList(i)
       var s = cellStart(c)
       var e = cellStart(c + 1)
@@ -173,55 +171,20 @@ final class FloodIndex(
           if (s < e) e = SearchUtil.binaryUpperBound(sortCol, q.hi(sDim), s, e)
         }
       }
-      rs(i) = s; re(i) = e
       if (s < e) {
-        // dims still needing per-point checks: filtered dims that are neither
-        // the (refined-exact) sort dim nor fully-contained in this cell
-        var nCheck = 0
-        val tmp = new Array[Int](qf.length)
-        var j = 0
-        while (j < qf.length) {
-          val dim = qf(j)
-          if (dim != sDim && !cellBoxes.covers(c, q, dim)) { tmp(nCheck) = dim; nCheck += 1 }
-          j += 1
-        }
-        checkMasks(i) = java.util.Arrays.copyOf(tmp, nCheck)
+        val checks = cellBoxes.checks(c, q) & unsorted
+        if (checks == 0L) exactPts += e - s
+        cands.add(s, e, checks)
       }
       i += 1
     }
-    val t2 = System.nanoTime()
 
     // ---- scan ----
-    var count = 0L
-    var sum = 0L
-    var scanned = 0L
-    var exactPts = 0L
-    i = 0
-    while (i < nCells) {
-      val s = rs(i); val e = re(i)
-      if (s < e) {
-        val checks = checkMasks(i)
-        if (checks.isEmpty) {
-          // exact sub-range: answer from prefix sums, no data access (§7.1)
-          val len = (e - s).toLong
-          count += len
-          sum += aggPrefix(e) - aggPrefix(s)
-          scanned += len
-          exactPts += len
-        } else {
-          val (cc, ss) = Scan.scanRange(dataV, q, checks, aggDim, s, e)
-          count += cc; sum += ss
-          scanned += (e - s).toLong
-        }
-      }
-      i += 1
-    }
-    val t3 = System.nanoTime()
-
+    val r = cands.scan(t1)
     FloodStats(
-      count = count, sum = sum, scanned = scanned, exactPoints = exactPts,
-      cellsInRect = proj.numCells, nonEmptyCells = nCells.toLong,
-      projectionNanos = t1 - t0, refineNanos = t2 - t1, scanNanos = t3 - t2
+      count = r.count, sum = r.sum, scanned = r.scanned, exactPoints = exactPts,
+      cellsInRect = proj.numCells, nonEmptyCells = cellList.length.toLong,
+      projectionNanos = t1 - t0, refineNanos = r.indexNanos, scanNanos = r.scanNanos
     )
   }
 

@@ -14,7 +14,7 @@ final class RegressionTree private (
     leftChild: Array[Int],
     rightChild: Array[Int],
     value: Array[Double]
-) {
+) extends Serializable {
   /** Predict a single example. */
   def predict(x: Array[Double]): Double = {
     var node = 0
@@ -107,7 +107,7 @@ object RegressionTree {
 }
 
 /** Bagged random forest regressor (bootstrap rows + random feature subsets). */
-final class RandomForest private (trees: Array[RegressionTree]) {
+final class RandomForest private (trees: Array[RegressionTree]) extends Serializable {
 
   /** Mean prediction over all trees. */
   def predict(x: Array[Double]): Double = {

@@ -57,16 +57,22 @@ final class ColumnStore(val names: Array[String], val columns: Array[Array[Long]
   /** Max value of a dimension. */
   def max(dim: Int): Long = { val c = columns(dim); var m = Long.MinValue; var i = 0; while (i < c.length) { if (c(i) > m) m = c(i); i += 1 }; m }
 
+  private val prefix = new Array[Array[Long]](numDims)
+
   /** Exclusive prefix sums of a column — the paper's cumulative-aggregation
     * optimization (§7.1): `SUM` over an exact range `[s,e)` is
-    * `prefix(e) - prefix(s)`, with no per-row access.
+    * `prefix(e) - prefix(s)`, with no per-row access. Computed on the first
+    * call for `dim`, then kept.
     */
-  def prefixSums(dim: Int): Array[Long] = {
-    val c = columns(dim)
-    val out = new Array[Long](numRows + 1)
-    var i = 0
-    while (i < numRows) { out(i + 1) = out(i) + c(i); i += 1 }
-    out
+  def prefixSums(dim: Int): Array[Long] = synchronized {
+    if (prefix(dim) == null) {
+      val c = columns(dim)
+      val out = new Array[Long](numRows + 1)
+      var i = 0
+      while (i < numRows) { out(i + 1) = out(i) + c(i); i += 1 }
+      prefix(dim) = out
+    }
+    prefix(dim)
   }
 
   /** Uncompressed payload size in bytes. */

@@ -39,86 +39,92 @@ trait MultiDimIndex {
   def buildNanos: Long
 }
 
-/** The shared scanning kernel. Every index funnels its candidate physical
-  * ranges through `scanRange`, so per-point scan cost is identical across
-  * indexes — differences in Table 2 then reflect layout quality, as in the
-  * paper.
+/** The brute-force reference answer. It shares no code with the indexes'
+  * scan phase (`Candidates`), so a fault there cannot reach the reference.
   */
 object Scan {
 
-  /** Scan `[s,e)` of `store`, counting and summing rows that pass the checks
-    * in `checkDims` (a subset of the query's filtered dimensions — callers
-    * drop dimensions already guaranteed by the index, e.g. Flood's sort
-    * dimension after refinement).
-    * Returns (count, sum).
-    */
-  def scanRange(
-      store: ColumnStore,
-      q: RangeQuery,
-      checkDims: Array[Int],
-      aggDim: Int,
-      s: Int,
-      e: Int
-  ): (Long, Long) = {
+  /** Ground-truth COUNT/SUM by brute force — the oracle for property tests. */
+  def brute(store: ColumnStore, q: RangeQuery, aggDim: Int = 0): (Long, Long) = {
     val agg = store.columns(aggDim)
     var count = 0L
     var sum = 0L
-    if (checkDims.isEmpty) {
-      var i = s
-      while (i < e) { sum += agg(i); i += 1 }
-      count = (e - s).toLong
-    } else {
-      val nd = checkDims.length
-      var i = s
-      while (i < e) {
-        var ok = true
-        var j = 0
-        while (ok && j < nd) {
-          val d = checkDims(j)
-          val v = store(d, i)
-          if (v < q.lo(d) || v > q.hi(d)) ok = false
-          j += 1
-        }
-        if (ok) { count += 1; sum += agg(i) }
-        i += 1
-      }
+    var i = 0
+    while (i < store.numRows) {
+      if (q.matchesRow(store, i)) { count += 1; sum += agg(i) }
+      i += 1
     }
     (count, sum)
   }
-
-  /** Ground-truth COUNT/SUM by brute force — the oracle for property tests. */
-  def brute(store: ColumnStore, q: RangeQuery, aggDim: Int = 0): (Long, Long) =
-    scanRange(store, q, q.filteredDims, aggDim, 0, store.numRows)
 }
 
-/** The candidate physical ranges of one query: an index adds them while it
-  * traverses its layout, then `scan` reads them all with `Scan.scanRange`.
-  * A range marked exact lies inside the query box, so its rows are counted
-  * without filter checks.
+/** The scan phase of every index: the index adds its candidate physical
+  * ranges while it traverses its layout, then `scan` answers them all, so
+  * per-point scan cost is identical across indexes and differences in
+  * Table 2 reflect layout quality, as in the paper (§7.2).
+  *
+  * Each range carries a bit mask of the dimensions its rows must still be
+  * checked on (bit k for dimension k). A range with mask 0 is exact: it lies
+  * inside the query box and is answered from the store's prefix sums with
+  * no per-row access (§7.1). Ranges with `s >= e`, and every range of an
+  * empty query, are dropped.
   */
 final class Candidates(data: ColumnStore, q: RangeQuery, aggDim: Int) {
-  private var ranges = new Array[Int](48) // (start, end, exact) triples
+  private val empty = q.isEmpty
+  private var ranges = new Array[Long](48) // (start, end, checks) triples
   private var size = 0
+  private val dims = new Array[Int](q.numDims) // the kernel's decoded mask
+  private var count = 0L
+  private var sum = 0L
 
-  def add(s: Int, e: Int, exact: Boolean): Unit = {
+  /** Add rows `[s, e)`, to be tested per row on the dimensions in `checks`. */
+  def add(s: Int, e: Int, checks: Long): Unit = if (s < e && !empty) {
     if (size + 3 > ranges.length) ranges = java.util.Arrays.copyOf(ranges, ranges.length * 2)
-    ranges(size) = s; ranges(size + 1) = e; ranges(size + 2) = if (exact) 1 else 0
+    ranges(size) = s; ranges(size + 1) = e; ranges(size + 2) = checks
     size += 3
   }
 
-  /** Scan every candidate. Index time runs from `t0` to this call. */
+  /** Answer every candidate; call once. Index time runs from `t0` to this call. */
   def scan(t0: Long): IndexResult = {
     val t1 = System.nanoTime()
-    val fd = q.filteredDims
-    val none = Array.emptyIntArray
-    var count = 0L; var sum = 0L; var scanned = 0L
+    var prefix: Array[Long] = null
+    var scanned = 0L
     var i = 0
     while (i < size) {
-      val s = ranges(i); val e = ranges(i + 1)
-      val (cc, ss) = Scan.scanRange(data, q, if (ranges(i + 2) == 1) none else fd, aggDim, s, e)
-      count += cc; sum += ss; scanned += (e - s).toLong
+      val s = ranges(i).toInt; val e = ranges(i + 1).toInt; val checks = ranges(i + 2)
+      if (checks == 0L) {
+        if (prefix == null) prefix = data.prefixSums(aggDim)
+        count += e - s; sum += prefix(e) - prefix(s)
+      } else scanRange(s, e, checks)
+      scanned += e - s
       i += 3
     }
     IndexResult(count, sum, scanned, t1 - t0, System.nanoTime() - t1)
+  }
+
+  /** The scan kernel: count and sum the rows of `[s, e)` that pass `q` on
+    * every dimension in `checks`, tested in ascending dimension order.
+    */
+  private def scanRange(s: Int, e: Int, checks: Long): Unit = {
+    var nd = 0
+    var m = checks
+    while (m != 0L) { dims(nd) = java.lang.Long.numberOfTrailingZeros(m); nd += 1; m &= m - 1 }
+    val agg = data.columns(aggDim)
+    var cnt = 0L
+    var acc = 0L
+    var i = s
+    while (i < e) {
+      var ok = true
+      var j = 0
+      while (ok && j < nd) {
+        val d = dims(j)
+        val v = data(d, i)
+        if (v < q.lo(d) || v > q.hi(d)) ok = false
+        j += 1
+      }
+      if (ok) { cnt += 1; acc += agg(i) }
+      i += 1
+    }
+    count += cnt; sum += acc
   }
 }

@@ -2,11 +2,12 @@ package repro.store
 
 /** How an index summarises a contiguous row range of its reordered store:
   * the per-dimension min/max box of the range's rows (Flood's cells, Z-order
-  * pages, tree nodes). A query skips a range whose box misses it and scans a
-  * range whose box it covers without per-point filter checks.
+  * pages, tree nodes). A query skips a range whose box misses it, and checks
+  * the rows of a range it scans only on the dimensions whose query range
+  * does not cover the box.
   *
   * An empty range has the inverted box `[Long.MaxValue, Long.MinValue]`: it
-  * intersects no query and is covered by every query.
+  * intersects no query and needs no checks.
   *
   * @param d         dimensions of the store
   * @param numRanges number of boxes, all empty until fitted
@@ -51,16 +52,20 @@ final class RangeBoxes(val d: Int, val numRanges: Int) {
     true
   }
 
-  /** Whether every row of range `r` passes `q`'s filter on `dim`. */
-  def covers(r: Int, q: RangeQuery, dim: Int): Boolean =
-    mins(r * d + dim) >= q.lo(dim) && maxs(r * d + dim) <= q.hi(dim)
-
-  /** Whether every row of range `r` matches `q`. */
-  def covers(r: Int, q: RangeQuery): Boolean = {
+  /** The filtered dimensions of `q` whose range does not cover range `r`'s
+    * box, as a bit mask (bit k for dimension k): the dimensions its rows
+    * must still be checked on. 0 when every row of `r` matches `q`.
+    */
+  def checks(r: Int, q: RangeQuery): Long = {
     val fd = q.filteredDims
+    var m = 0L
     var i = 0
-    while (i < fd.length) { if (!covers(r, q, fd(i))) return false; i += 1 }
-    true
+    while (i < fd.length) {
+      val dim = fd(i)
+      if (mins(r * d + dim) < q.lo(dim) || maxs(r * d + dim) > q.hi(dim)) m |= 1L << dim
+      i += 1
+    }
+    m
   }
 
   /** Size of the boxes in bytes. */

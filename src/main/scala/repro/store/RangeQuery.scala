@@ -7,6 +7,7 @@ package repro.store
   */
 final case class RangeQuery(lo: Array[Long], hi: Array[Long]) {
   require(lo.length == hi.length, "lo/hi arity mismatch")
+  require(lo.length <= 64, "a query's dimensions must fit a 64-bit mask")
 
   /** Number of dimensions the query is defined over. */
   def numDims: Int = lo.length
@@ -17,6 +18,9 @@ final case class RangeQuery(lo: Array[Long], hi: Array[Long]) {
 
   /** Dimensions that carry a filter. */
   lazy val filteredDims: Array[Int] = (0 until numDims).filter(filters).toArray
+
+  /** `filteredDims` as a bit mask: bit k is set when dimension k is filtered. */
+  lazy val filteredMask: Long = filteredDims.foldLeft(0L)((m, d) => m | 1L << d)
 
   /** Whether some range is inverted (`lo > hi`), so no row can match. */
   def isEmpty: Boolean = {

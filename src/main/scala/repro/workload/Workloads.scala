@@ -171,29 +171,30 @@ object Workloads {
     Workload(Array.fill(nTrain)(draw()), Array.fill(nTest)(draw()))
   }
 
-  /** Average per-dimension selectivity of the queries that filter each
-    * dimension, measured on a row sample; 1.0 for never-filtered dimensions.
+  /** Mean per-dimension selectivity over all queries, measured on a row
+    * sample; a query that does not filter a dimension counts as 1.0 there,
+    * so a rarely filtered dimension ranks behind a frequently filtered one.
     * (Used to order dimensions for Flood and the tuned baselines.)
     */
   def dimSelectivity(store: ColumnStore, queries: Array[RangeQuery]): Array[Double] = {
     val rng = new Random(SelectivitySeed)
     val sample = Array.fill(math.min(20000, store.numRows))(rng.nextInt(store.numRows))
-    val sums = Array.fill(store.numDims)(0.0)
-    val cnts = Array.fill(store.numDims)(0)
-    for (q <- queries; dim <- q.filteredDims) {
+    def passing(q: RangeQuery, dim: Int): Double = {
       var hits = 0
       var i = 0
       while (i < sample.length) {
         if (q.contains(dim, store(dim, sample(i)))) hits += 1
         i += 1
       }
-      sums(dim) += hits.toDouble / sample.length
-      cnts(dim) += 1
+      hits.toDouble / sample.length
     }
-    Array.tabulate(store.numDims)(d => if (cnts(d) == 0) 1.0 else sums(d) / cnts(d))
+    Array.tabulate(store.numDims) { dim =>
+      if (queries.isEmpty) 1.0
+      else queries.map(q => if (q.filters(dim)) passing(q, dim) else 1.0).sum / queries.length
+    }
   }
 
-  /** Dimensions ordered by increasing average selectivity (most selective
+  /** Dimensions ordered by increasing mean selectivity (most selective
     * first); never-filtered dimensions last.
     */
   def selectivityOrder(store: ColumnStore, queries: Array[RangeQuery]): Array[Int] = {

@@ -1,7 +1,11 @@
 package repro.opt
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
 import repro.model.RandomForest
+import repro.workload.Dataset
 
 import scala.util.Random
 
@@ -49,6 +53,22 @@ class CostModelSpec extends AnyFunSuite {
     val a = new AnalyticCostModel(2.0, 3.0, 0.5)
     assert(a.predictNanos(feat(10, 100, refined = true)) == 2.0 * 10 + 3.0 * 10 + 0.5 * 100)
     assert(a.predictNanos(feat(10, 100, refined = false)) == 2.0 * 10 + 0.5 * 100)
+  }
+
+  test("a calibrated model round-trips through Java serialization") {
+    val store = TestData.randomStore(2000, 3, seed = 112)
+    val rng = new Random(113)
+    val model = Calibration.calibrate(Dataset("random", store, 0),
+      Array.fill(12)(TestData.randomQuery(store, rng)), numLayouts = 2)
+    val bytes = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(model); out.close()
+    val back = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[CostModel]
+    for (_ <- 0 until 50) {
+      val f = feat(nc = 1 + rng.nextInt(5000), ns = rng.nextInt(100000), refined = rng.nextBoolean())
+        .copy(totalCells = 1 + rng.nextInt(8192), fracExact = rng.nextDouble())
+      assert(back.predictNanos(f) == model.predictNanos(f))
+    }
   }
 
   test("random layouts are valid and vary") {

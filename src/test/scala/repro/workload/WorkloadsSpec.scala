@@ -1,7 +1,7 @@
 package repro.workload
 
 import repro.SparkSpec
-import repro.store.Scan
+import repro.store.{ColumnStore, RangeQuery, Scan}
 
 class WorkloadsSpec extends SparkSpec {
 
@@ -62,6 +62,17 @@ class WorkloadsSpec extends SparkSpec {
     assert(order.distinct.length == ds.numDims)
     val sel = Workloads.dimSelectivity(ds.store, wl.train)
     assert(sel(order.head) <= sel(order.last))
+  }
+
+  test("selectivityOrder ranks a frequent, moderately selective dim before a rare, very selective one") {
+    // dims 0 and 1 hold 0..999; nine queries keep 10% of dim 0, one keeps 0.1% of dim 1
+    val store = ColumnStore.of("a" -> Array.tabulate(1000)(_.toLong), "b" -> Array.tabulate(1000)(_.toLong),
+      "c" -> Array.fill(1000)(0L))
+    val queries = Array.fill(9)(RangeQuery.of(3, 0 -> (0L, 99L))) :+ RangeQuery.of(3, 1 -> (0L, 0L))
+    val sel = Workloads.dimSelectivity(store, queries)
+    assert(math.abs(sel(0) - (9 * 0.1 + 1.0) / 10) < 0.05 && math.abs(sel(1) - (9 + 0.001) / 10) < 0.05, sel.toSeq)
+    assert(sel(2) == 1.0)
+    assert(Workloads.selectivityOrder(store, queries).toSeq == Seq(0, 1, 2))
   }
 
   test("sortedColumns are sorted copies") {
