@@ -20,6 +20,7 @@ final class ClusteredIndex(store: ColumnStore, val sortDim: Int, aggDim: Int = 0
     val t0 = System.nanoTime()
     dataV = store.reorder(Sort.order(store.columns(sortDim)))
     rmi = Rmi.build(dataV.columns(sortDim), leaves = math.max(64, store.numRows / 1024))
+    dataV.buildPrefixSums(aggDim)
     System.nanoTime() - t0
   }
 

@@ -192,6 +192,7 @@ final class GridFile(
     }
     bucketStart(buckets.length) = w
     dataV = store.reorder(perm)
+    dataV.buildPrefixSums(aggDim)
     System.nanoTime() - t0
   }
 

@@ -72,11 +72,11 @@ final class HyperOctree(
 
     val root = buildNode(Array.range(0, store.numRows), Array.tabulate(d)(store.min),
       Array.tabulate(d)(store.max), 0)
-    tree = new RangeTree(store, perm, root)
+    tree = new RangeTree(store, perm, root, aggDim)
     System.nanoTime() - t0
   }
 
-  def query(q: RangeQuery): IndexResult = tree.query(q, aggDim)
+  def query(q: RangeQuery): IndexResult = tree.query(q)
 
   def sizeBytes: Long =
     // internal nodes: child array + box; leaves: range + box

@@ -61,11 +61,11 @@ final class KdTree(
       makeLeaf(idx) // all dimensions degenerate
     }
 
-    tree = new RangeTree(store, perm, buildNode(Array.range(0, store.numRows), 0))
+    tree = new RangeTree(store, perm, buildNode(Array.range(0, store.numRows), 0), aggDim)
     System.nanoTime() - t0
   }
 
-  def query(q: RangeQuery): IndexResult = tree.query(q, aggDim)
+  def query(q: RangeQuery): IndexResult = tree.query(q)
 
   def sizeBytes: Long = tree.numNodes.toLong * (d.toLong * 16 + 32)
 

@@ -52,11 +52,11 @@ final class RStarTree(
     }
     while (level.length > 1)
       level = level.grouped(Fanout).map(g => new RangeNode(g.head.s, g.last.e, g)).toArray
-    tree = new RangeTree(store, perm, level(0))
+    tree = new RangeTree(store, perm, level(0), aggDim)
     System.nanoTime() - t0
   }
 
-  def query(q: RangeQuery): IndexResult = tree.query(q, aggDim)
+  def query(q: RangeQuery): IndexResult = tree.query(q)
 
   def sizeBytes: Long = tree.numNodes.toLong * (d.toLong * 16 + 32)
 

@@ -15,15 +15,16 @@ private[baselines] object RangeNode {
 }
 
 /** What the k-d tree, the R-tree and the hyperoctree share (paper §7.2,
-  * Appendix A): the store reordered by the tree's permutation, the tight
-  * min/max box of every node, and one descent that prunes nodes whose box
+  * Appendix A): the store reordered by the tree's permutation, with the
+  * prefix sums of its `aggDim` column, the tight min/max box of every node, and one descent that prunes nodes whose box
   * misses the query and checks a leaf's rows only on the dimensions whose
   * query range does not cover the leaf's box. Each tree supplies only its
   * partitioning rule — the permutation and the nodes over it.
   */
-private[baselines] final class RangeTree(store: ColumnStore, perm: Array[Int], root: RangeNode) {
+private[baselines] final class RangeTree(store: ColumnStore, perm: Array[Int], root: RangeNode, aggDim: Int) {
 
   val data: ColumnStore = store.reorder(perm)
+  data.buildPrefixSums(aggDim)
 
   private val nodes: Array[RangeNode] = {
     val out = scala.collection.mutable.ArrayBuffer[RangeNode]()
@@ -50,7 +51,7 @@ private[baselines] final class RangeTree(store: ColumnStore, perm: Array[Int], r
   def numNodes: Int = nodes.length
   def numLeaves: Int = nodes.count(_.isLeaf)
 
-  def query(q: RangeQuery, aggDim: Int): IndexResult = {
+  def query(q: RangeQuery): IndexResult = {
     val t0 = System.nanoTime()
     val cands = new Candidates(data, q, aggDim)
     def visit(n: RangeNode): Unit =

@@ -25,6 +25,7 @@ final class UBTree(
   val buildNanos: Long = {
     val t0 = System.nanoTime()
     z = new ZLayout(store, dimOrder)
+    z.data.buildPrefixSums(aggDim)
     System.nanoTime() - t0
   }
 

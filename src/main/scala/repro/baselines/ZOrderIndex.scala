@@ -26,6 +26,7 @@ final class ZOrderIndex(
   val buildNanos: Long = {
     val t0 = System.nanoTime()
     z = new ZLayout(store, dimOrder)
+    z.data.buildPrefixSums(aggDim)
     val n = store.numRows
     pages = RangeBoxes.of(z.data, Array.tabulate((n + pageSize - 1) / pageSize + 1)(p => math.min(n, p * pageSize)))
     System.nanoTime() - t0

@@ -3,8 +3,6 @@ package repro.core
 import repro.model.{Plm, SearchUtil}
 import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeBoxes, RangeQuery, Sort}
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Per-query statistics, decomposed the way the paper's cost model is
   * (Eq. 1): projection visits `cellsInRect` cells, refinement narrows each
   * non-empty cell, scanning touches `scanned` points of which `exactPoints`
@@ -35,7 +33,8 @@ final case class FloodStats(
   * δ = 50 (paper §7.8) plus exponential search in cells of at least 32
   * rows, binary search in smaller ones), and scan (the shared `Candidates`
   * scan: filter checks only on the dimensions a cell's box is not inside,
-  * exact ranges answered from prefix sums — §7.1).
+  * exact ranges answered from prefix sums — §7.1). Queries may run on
+  * several threads at once: the buffers a query reuses are per thread.
   *
   * @param store      input data (any row order)
   * @param layout     dimension ordering + per-grid-dimension column counts
@@ -65,6 +64,9 @@ final class FloodIndex(
   private var cellStart: Array[Int] = _
   private var cellBoxes: RangeBoxes = _
   private var plms: Array[Plm] = _
+
+  // the non-empty cells of the calling thread's current query, reused
+  private val cellBuf = ThreadLocal.withInitial[Array[Int]](() => new Array[Int](256))
 
   val buildNanos: Long = {
     val t0 = System.nanoTime()
@@ -128,7 +130,7 @@ final class FloodIndex(
       c += 1
     }
 
-    dataV.prefixSums(aggDim) // kept by the store for exact ranges
+    dataV.buildPrefixSums(aggDim)
   }
 
   /** Answer `q`, reporting the full per-phase statistics. */
@@ -136,11 +138,16 @@ final class FloodIndex(
     // ---- projection: the cells the query rectangle meets ----
     val t0 = System.nanoTime()
     val proj = layout.project(flattening, q)
-    val cellList = new ArrayBuffer[Int]()
+    var cells = cellBuf.get()
+    var nCells = 0
     val w = proj.walk(strides)
     while (!w.done) {
       val c = w.id.toInt
-      if (cellStart(c + 1) > cellStart(c)) cellList += c
+      if (cellStart(c + 1) > cellStart(c)) {
+        if (nCells == cells.length) { cells = java.util.Arrays.copyOf(cells, 2 * nCells); cellBuf.set(cells) }
+        cells(nCells) = c
+        nCells += 1
+      }
       w.next()
     }
     val t1 = System.nanoTime()
@@ -153,8 +160,8 @@ final class FloodIndex(
     val cands = new Candidates(dataV, q, aggDim)
     var exactPts = 0L
     var i = 0
-    while (i < cellList.length) {
-      val c = cellList(i)
+    while (i < nCells) {
+      val c = cells(i)
       var s = cellStart(c)
       var e = cellStart(c + 1)
       if (sortFiltered) {
@@ -183,7 +190,7 @@ final class FloodIndex(
     val r = cands.scan(t1)
     FloodStats(
       count = r.count, sum = r.sum, scanned = r.scanned, exactPoints = exactPts,
-      cellsInRect = proj.numCells, nonEmptyCells = cellList.length.toLong,
+      cellsInRect = proj.numCells, nonEmptyCells = nCells.toLong,
       projectionNanos = t1 - t0, refineNanos = r.indexNanos, scanNanos = r.scanNanos
     )
   }

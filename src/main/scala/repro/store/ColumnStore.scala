@@ -59,12 +59,13 @@ final class ColumnStore(val names: Array[String], val columns: Array[Array[Long]
 
   private val prefix = new Array[Array[Long]](numDims)
 
-  /** Exclusive prefix sums of a column — the paper's cumulative-aggregation
-    * optimization (§7.1): `SUM` over an exact range `[s,e)` is
-    * `prefix(e) - prefix(s)`, with no per-row access. Computed on the first
-    * call for `dim`, then kept.
+  /** Compute and keep the exclusive prefix sums of a column — the paper's
+    * cumulative-aggregation optimization (§7.1): `SUM` over an exact range
+    * `[s,e)` is `prefix(e) - prefix(s)`, with no per-row access. Every index
+    * calls this on its store's aggregation column while it builds, so the
+    * O(n) pass counts as build time, not as the first query's scan time.
     */
-  def prefixSums(dim: Int): Array[Long] = synchronized {
+  def buildPrefixSums(dim: Int): Unit = synchronized {
     if (prefix(dim) == null) {
       val c = columns(dim)
       val out = new Array[Long](numRows + 1)
@@ -72,7 +73,13 @@ final class ColumnStore(val names: Array[String], val columns: Array[Array[Long]
       while (i < numRows) { out(i + 1) = out(i) + c(i); i += 1 }
       prefix(dim) = out
     }
-    prefix(dim)
+  }
+
+  /** The prefix sums `buildPrefixSums(dim)` kept; it must have run. */
+  def prefixSums(dim: Int): Array[Long] = synchronized {
+    val p = prefix(dim)
+    if (p == null) throw new IllegalStateException(s"prefix sums of column $dim were not built")
+    p
   }
 
   /** Uncompressed payload size in bytes. */

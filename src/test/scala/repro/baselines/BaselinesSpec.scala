@@ -52,6 +52,17 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
+  test("every index builds its prefix sums: a fresh index's first query computes none") {
+    // prefixSums only returns what buildPrefixSums kept, and the unfiltered
+    // query answers every index's ranges from them
+    val fresh = TestData.randomStore(1500, 4, seed = 95)
+    for (idx <- indexes(fresh, aggDim = 2)) {
+      val r = idx.query(RangeQuery.full(4))
+      assert((r.count, r.sum) == Scan.brute(fresh, RangeQuery.full(4), 2), idx.name)
+      assert(r.count == r.scanned, idx.name)
+    }
+  }
+
   test("all baselines agree on empty-result queries") {
     val q = RangeQuery.of(4, 0 -> (store.max(0) + 1, store.max(0) + 100))
     for (idx <- all) assert(idx.query(q).count == 0, idx.name)

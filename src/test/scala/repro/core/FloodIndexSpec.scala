@@ -25,6 +25,29 @@ class FloodIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("queries from several threads at once give the single-thread answers and counters") {
+    // 2048 cells: unfiltered queries outgrow the initial per-thread buffers
+    val idx = new FloodIndex(store, Layout(Array(0, 1, 2, 3), Array(32, 16, 4)), flat, aggDim = 1)
+    val rng = new Random(74)
+    val qs = RangeQuery.full(4) +: Seq.fill(60)(TestData.randomQuery(store, rng))
+    def counters(q: RangeQuery) = {
+      val s = idx.queryWithStats(q)
+      (s.count, s.sum, s.scanned, s.exactPoints, s.nonEmptyCells)
+    }
+    val expected = qs.map(counters)
+    assert(expected.head._5 > 256)
+    val failures = new java.util.concurrent.atomic.AtomicInteger
+    val threads = Seq.tabulate(4) { t =>
+      new Thread(() =>
+        for (round <- 0 until 5; i <- new Random(t * 10 + round).shuffle(qs.indices.toList))
+          if (counters(qs(i)) != expected(i)) failures.incrementAndGet())
+    }
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    assert(failures.get == 0)
+    for ((q, (c, s, _, _, _)) <- qs.zip(expected)) assert((c, s) == Scan.brute(store, q, aggDim = 1))
+  }
+
   test("correct across many random layouts (the key invariant)") {
     val rng = new Random(73)
     for (trial <- 0 until 20) {

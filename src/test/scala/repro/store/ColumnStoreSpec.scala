@@ -39,6 +39,8 @@ class ColumnStoreSpec extends SparkSpec {
   }
 
   test("prefixSums: exclusive prefix, sum over [s,e) = p(e)-p(s)") {
+    intercept[IllegalStateException](store.prefixSums(1)) // only buildPrefixSums computes them
+    store.buildPrefixSums(1)
     val p = store.prefixSums(1)
     assert(p.toSeq == Seq(0L, 10L, 30L, 60L, 100L))
     assert(p(3) - p(1) == 50L) // rows 1,2
