@@ -108,7 +108,7 @@ class ScanSpec extends AnyFunSuite {
       (1001, 1500, 1L << 2), (1500, 1600, 0L), (1600, 2000, 0L))
     val cands = new Candidates(store, q, 1)
     for ((s, e, checks) <- ranges) cands.add(s, e, checks)
-    assert(cands.numRanges == 3 + 1) // [0,700) m, [700,1000) and [1001,1500) dim 2, [1500,2000) exact
+    assert(cands.numRanges == 4) // [0,700) m, [700,1000) and [1001,1500) dim 2, [1500,2000) exact
     val r = cands.scan(System.nanoTime())
     val unmerged = ranges.map { case (s, e, checks) => scan(q, 1, (s, e, checks)) }
     assert(r.count == unmerged.map(_.count).sum)
