@@ -2,29 +2,21 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.tables.TableGen
-import repro.workload.Datasets
 
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
 
-/** Shared state for the bench suites: the one-time machine calibration and
-  * the per-dataset runs (used by both Table 2 and Table 4, like in the
-  * paper). All suites run in one forked JVM (`parallelExecution := false`),
+/** Shared state for the bench suites: the per-dataset runs under the
+  * one-time machine calibration (used by both Table 2 and Table 4, like in
+  * the paper). All suites run in one forked JVM (`parallelExecution := false`),
   * so these lazies compute once.
   */
 object BenchShared {
 
   lazy val spark: SparkSession = repro.SparkSpec.shared
 
-  /** One-time cost-model calibration (paper §4.1.1: once per machine). */
-  lazy val model = TableGen.calibrateOnce(spark)
-
   /** Full Table-2/Table-4 runs over all four datasets at bench scale. */
-  lazy val runs: Seq[TableGen.DatasetRun] =
-    Datasets.Names.map { n =>
-      Console.err.println(s"[bench] running dataset $n ...")
-      TableGen.runDataset(Datasets.loadBench(spark, n), model)
-    }
+  lazy val runs: Seq[TableGen.DatasetRun] = TableGen.runAll(spark)
 
   /** Persist a rendered table for EXPERIMENTS.md. The bench JVM's working
     * directory is the `bench/` subproject, so anchor at the repo root.

@@ -2,7 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.tables.TableGen
-import repro.workload.Datasets
 
 /** spark-submit entrypoint reproducing paper Table 2 (per-index performance
   * breakdown: SO, TPS, ST, IT, TT on all four datasets).
@@ -10,10 +9,7 @@ import repro.workload.Datasets
 object Table2Job {
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder().appName("flood-table2").getOrCreate()
-    val model = TableGen.calibrateOnce(spark)
-    val runs = Datasets.Names.map { n =>
-      TableGen.runDataset(Datasets.loadBench(spark, n), model)
-    }
+    val runs = TableGen.runAll(spark)
     println("Table 2: performance breakdown")
     println(TableGen.table2(runs))
     spark.stop()

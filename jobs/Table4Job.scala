@@ -2,7 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.tables.TableGen
-import repro.workload.Datasets
 
 /** spark-submit entrypoint reproducing paper Table 4 (index creation time:
   * Flood learning + loading vs every baseline's build time).
@@ -10,10 +9,7 @@ import repro.workload.Datasets
 object Table4Job {
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder().appName("flood-table4").getOrCreate()
-    val model = TableGen.calibrateOnce(spark)
-    val runs = Datasets.Names.map { n =>
-      TableGen.runDataset(Datasets.loadBench(spark, n), model)
-    }
+    val runs = TableGen.runAll(spark)
     println("Table 4: index creation time (seconds)")
     println(TableGen.table4(runs))
     spark.stop()

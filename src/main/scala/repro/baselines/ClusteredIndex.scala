@@ -29,11 +29,11 @@ final class ClusteredIndex(store: ColumnStore, val sortDim: Int, aggDim: Int = 0
 
   def query(q: RangeQuery): IndexResult = {
     val t0 = System.nanoTime()
+    val cands = new Candidates(dataV, q, aggDim)
     val col = dataV.columns(sortDim)
     val s = SearchUtil.lowerBound(col, q.lo(sortDim), rmi.predict(q.lo(sortDim)))
     val e = SearchUtil.upperBound(col, q.hi(sortDim), rmi.predict(q.hi(sortDim)))
     // the sorted dimension is exact by construction; check the others
-    val cands = new Candidates(dataV, q, aggDim)
     cands.add(s, e, q.filteredMask & ~(1L << sortDim))
     cands.scan(t0)
   }

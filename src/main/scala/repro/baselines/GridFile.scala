@@ -198,6 +198,7 @@ final class GridFile(
 
   def query(q: RangeQuery): IndexResult = {
     val t0 = System.nanoTime()
+    val cands = new Candidates(dataV, q, aggDim)
     val iLo = new Array[Int](d)
     val iHi = new Array[Int](d)
     var k = 0
@@ -208,7 +209,6 @@ final class GridFile(
       } else { iLo(k) = 0; iHi(k) = counts(k) - 1 }
       k += 1
     }
-    val cands = new Candidates(dataV, q, aggDim)
     val seen = new Array[Boolean](buckets.length)
     val w = new Grid.Walk(str, iLo, iHi)
     while (!w.done) {

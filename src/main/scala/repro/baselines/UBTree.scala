@@ -31,9 +31,9 @@ final class UBTree(
 
   def query(q: RangeQuery): IndexResult = {
     val t0 = System.nanoTime()
+    val cands = new Candidates(z.data, q, aggDim)
     val span = z.span(q)
     val zvals = z.zvals
-    val cands = new Candidates(z.data, q, aggDim)
     var pos = span.s
     while (pos < span.e) {
       val code = zvals(pos)

@@ -34,8 +34,8 @@ final class ZOrderIndex(
 
   def query(q: RangeQuery): IndexResult = {
     val t0 = System.nanoTime()
-    val span = z.span(q)
     val cands = new Candidates(z.data, q, aggDim)
+    val span = z.span(q)
     if (span.s < span.e) {
       var pg = span.s / pageSize
       while (pg <= (span.e - 1) / pageSize) {

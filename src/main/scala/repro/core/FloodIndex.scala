@@ -137,6 +137,7 @@ final class FloodIndex(
   def queryWithStats(q: RangeQuery): FloodStats = {
     // ---- projection: the cells the query rectangle meets ----
     val t0 = System.nanoTime()
+    val cands = new Candidates(dataV, q, aggDim)
     val proj = layout.project(flattening, q)
     var cells = cellBuf.get()
     var nCells = 0
@@ -157,7 +158,6 @@ final class FloodIndex(
     val sortFiltered = q.filters(sDim)
     val sortCol = dataV.columns(sDim)
     val unsorted = ~(1L << sDim)
-    val cands = new Candidates(dataV, q, aggDim)
     var exactPts = 0L
     var i = 0
     while (i < nCells) {

@@ -1,6 +1,6 @@
 package repro.opt
 
-import repro.core.{Flattening, Layout}
+import repro.core.{Flattening, FloodIndex, Layout}
 import repro.store.RangeQuery
 import repro.workload.{Dataset, Workloads}
 
@@ -159,5 +159,14 @@ object LayoutOptimizer {
       if (cost < bestCost) { bestCost = cost; best = Layout(order, cols) }
     }
     Result(best, bestCost, System.nanoTime() - t0)
+  }
+
+  /** Flood's one learn-then-build entry point: learn the layout for `train`
+    * under `model` on `flattening`'s columns, then load the index.
+    */
+  def learnAndBuild(ds: Dataset, flattening: Flattening, train: Array[RangeQuery], model: CostModel,
+                    seed: Long): (Result, FloodIndex) = {
+    val learned = optimize(ds, flattening, train, model, seed)
+    (learned, new FloodIndex(ds.store, learned.layout, flattening, ds.aggDim))
   }
 }

@@ -46,6 +46,7 @@ object Scan {
 
   /** Ground-truth COUNT/SUM by brute force — the oracle for property tests. */
   def brute(store: ColumnStore, q: RangeQuery, aggDim: Int = 0): (Long, Long) = {
+    q.requireDims(store.numDims)
     val agg = store.columns(aggDim)
     var count = 0L
     var sum = 0L
@@ -73,9 +74,13 @@ object Scan {
   *
   * A `Candidates` lives for one query on one thread: it borrows that
   * thread's scratch space (range list, selection vector) from construction
-  * until `scan` returns, so a query allocates no scan buffers.
+  * until `scan` returns, so a query allocates no scan buffers. It rejects a
+  * query whose arity is not the store's before it borrows; every index
+  * builds its `Candidates` before it reads the query, so this is the one
+  * arity check of the query path.
   */
 final class Candidates(data: ColumnStore, q: RangeQuery, aggDim: Int) {
+  q.requireDims(data.numDims)
   private val empty = q.isEmpty
   private val scratch = Candidates.borrow()
   private var ranges = scratch.ranges // (start, end, checks) triples

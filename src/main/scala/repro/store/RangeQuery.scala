@@ -12,6 +12,12 @@ final case class RangeQuery(lo: Array[Long], hi: Array[Long]) {
   /** Number of dimensions the query is defined over. */
   def numDims: Int = lo.length
 
+  /** Throws `IllegalArgumentException` unless the query has `d` dimensions
+    * (it builds no message closure, so the query path allocates nothing).
+    */
+  def requireDims(d: Int): Unit =
+    if (numDims != d) throw new IllegalArgumentException(s"a $numDims-dimension query on a $d-dimension store")
+
   /** Whether dimension `d` carries a filter. */
   @inline def filters(d: Int): Boolean =
     lo(d) != Long.MinValue || hi(d) != Long.MaxValue

@@ -2,9 +2,9 @@ package repro.tables
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines._
-import repro.core.{CdfFlattening, FloodIndex}
+import repro.core.CdfFlattening
 import repro.opt.{Calibration, CostModel, LayoutOptimizer}
-import repro.store.{MultiDimIndex, RangeQuery}
+import repro.store.{IndexResult, MultiDimIndex, RangeQuery}
 import repro.workload.{Dataset, Datasets, Workloads}
 
 import scala.collection.mutable.ArrayBuffer
@@ -22,6 +22,7 @@ object TableGen {
   private val CalibSeed = 23L
   private val Table3CalibLayouts = 6
   private val Table3Seed = 5L
+  private val TimedPasses = 5
 
   /** Aggregated per-index metrics in the units of the paper's Table 2:
     * SO (ratio), TPS (ns/point), ST (ms), IT (ms), TT (ms).
@@ -45,15 +46,11 @@ object TableGen {
       numQueries: Int
   )
 
-  /** Run `queries` through `idx` (one warm-up pass, one measured pass) and
-    * aggregate the Table-2 metrics.
-    */
+  /** Time `queries` on `idx` (`timeQueries`) and aggregate the Table-2 metrics. */
   def measure(idx: MultiDimIndex, queries: Array[RangeQuery]): IndexMetrics = {
-    for (q <- queries) idx.query(q)
     var scanned = 0L; var matched = 0L
     var scanNs = 0L; var idxNs = 0L
-    for (q <- queries) {
-      val r = idx.query(q)
+    for (r <- timeQueries(idx, queries)) {
       scanned += r.scanned; matched += r.count
       scanNs += r.scanNanos; idxNs += r.indexNanos
     }
@@ -77,20 +74,19 @@ object TableGen {
                    candidates: Seq[Int] = Seq(512, 2048, 8192)): MultiDimIndex = {
     candidates.map { ps =>
       val idx = build(ps)
-      for (q <- train) idx.query(q)
-      val tt = train.map(q => idx.query(q).totalNanos).sum
-      (tt, idx)
+      (timeQueries(idx, train).map(_.totalNanos).sum, idx)
     }.minBy(_._1)._2
   }
 
-  /** Flood's learn-then-build sequence: train the flattening on the data,
-    * learn the layout for `train` under `model`, then load the index.
+  /** The one timing routine of the tables: one warm-up pass over `queries`,
+    * then `TimedPasses` timed passes. For each query it keeps the result of
+    * the pass with the median total time, so one slow or fast pass does not
+    * set the tables' numbers.
     */
-  private def learnAndBuild(ds: Dataset, train: Array[RangeQuery], model: CostModel,
-                            seed: Long): (LayoutOptimizer.Result, FloodIndex) = {
-    val flat = CdfFlattening.train(ds.store)
-    val learned = LayoutOptimizer.optimize(ds, flat, train, model, seed = seed)
-    (learned, new FloodIndex(ds.store, learned.layout, flat, ds.aggDim))
+  private def timeQueries(idx: MultiDimIndex, queries: Array[RangeQuery]): Array[IndexResult] = {
+    for (q <- queries) idx.query(q)
+    val passes = Array.fill(TimedPasses)(queries.map(idx.query))
+    Array.tabulate(queries.length)(i => passes.map(_(i)).sortBy(_.totalNanos).apply(TimedPasses / 2))
   }
 
   /** Build every index (tuned on the train set) for a dataset and measure
@@ -125,7 +121,8 @@ object TableGen {
       tunePageSize(ps => new RStarTree(store, selOrder, ps, ds.aggDim), wl.train), wl.test)
 
     // Flood: learn the layout (the only index NOT hand-tuned), then load
-    val (learned, flood) = learnAndBuild(ds, wl.train, model, RunSeed)
+    val (learned, flood) =
+      LayoutOptimizer.learnAndBuild(ds, CdfFlattening.train(store), wl.train, model, RunSeed)
     out += measure(flood, wl.test)
 
     DatasetRun(ds, out.toSeq, learned.learnNanos / 1e9, flood.buildNanos / 1e9,
@@ -134,12 +131,17 @@ object TableGen {
 
   /** Calibrate the machine's cost model once, on one dataset (paper §4.1.1:
     * an arbitrary — possibly synthetic — dataset suffices; Table 3 verifies
-    * robustness across choices).
+    * robustness across choices), then run every bench dataset under it.
+    * Tables 2 and 4 both render these runs. Progress goes to standard error.
     */
-  def calibrateOnce(spark: SparkSession): CostModel = {
-    val ds = Datasets.load(spark, CalibDataset, CalibRows, seed = 91)
-    val wl = Workloads.standard(ds, seed = CalibSeed)
-    Calibration.calibrate(ds, wl.train, CalibLayouts, CalibSeed)
+  def runAll(spark: SparkSession): Seq[DatasetRun] = {
+    val calib = Datasets.load(spark, CalibDataset, CalibRows, seed = 91)
+    val model = Calibration.calibrate(
+      calib, Workloads.standard(calib, seed = CalibSeed).train, CalibLayouts, CalibSeed)
+    Datasets.Names.map { n =>
+      Console.err.println(s"[tables] running dataset $n ...")
+      runDataset(Datasets.loadBench(spark, n), model)
+    }
   }
 
   // ------------------------------------------------------------------
@@ -192,11 +194,13 @@ object TableGen {
     val models = dss.zip(wls).map { case (ds, wl) =>
       Calibration.calibrate(ds, wl.train, Table3CalibLayouts, Table3Seed)
     }
+    // the flattening depends only on the data: train it once per dataset
+    val flats = dss.map(ds => CdfFlattening.train(ds.store))
     // tt(modelIdx)(dataIdx)
     val tt = Array.ofDim[Double](names.length, names.length)
     for (mi <- names.indices; di <- names.indices) {
       val ds = dss(di); val wl = wls(di)
-      val (_, flood) = learnAndBuild(ds, wl.train, models(mi), Table3Seed)
+      val (_, flood) = LayoutOptimizer.learnAndBuild(ds, flats(di), wl.train, models(mi), Table3Seed)
       tt(mi)(di) = measure(flood, wl.test).ttMs
     }
     val sb = new StringBuilder

@@ -23,6 +23,10 @@ import scala.util.Random
   * and ones bounded by `Long` extremes. Timings are not printed. An index
   * that throws prints the exception's class in place of its answer. Writes
   * to the file named by the first argument, or to standard output.
+  *
+  * `golden` prints a reduced run (the d = 2 and d = 5 random stores, the
+  * extremes and the 0- and 1-row stores, fewer queries) that
+  * `EquivalenceGoldenSpec` compares with `src/test/resources/equivalence-golden.txt`.
   */
 object Equivalence {
 
@@ -30,12 +34,19 @@ object Equivalence {
 
   def main(args: Array[String]): Unit = {
     val out = if (args.nonEmpty) new PrintWriter(args(0)) else new PrintWriter(System.out)
-    val stores = Seq(2, 4, 5, 7).map(d => s"random-d$d" -> TestData.randomStore(3000, d, seed = 700 + d)) ++
-      Seq("extremes-d3" -> extremeStore(2500, 3, seed = 711), "rows0-d3" -> TestData.randomStore(0, 3, seed = 712),
-        "rows1-d3" -> TestData.randomStore(1, 3, seed = 713))
-    for ((name, store) <- stores) report(out, name, store)
+    write(out, Seq(2, 4, 5, 7), randomQueries = 80, extremeQueries = 40)
     out.flush()
     if (args.nonEmpty) out.close()
+  }
+
+  /** The reduced run checked in as the golden output. */
+  def golden(out: PrintWriter): Unit = write(out, Seq(2, 5), randomQueries = 20, extremeQueries = 10)
+
+  private def write(out: PrintWriter, dims: Seq[Int], randomQueries: Int, extremeQueries: Int): Unit = {
+    val stores = dims.map(d => s"random-d$d" -> TestData.randomStore(3000, d, seed = 700 + d)) ++
+      Seq("extremes-d3" -> extremeStore(2500, 3, seed = 711), "rows0-d3" -> TestData.randomStore(0, 3, seed = 712),
+        "rows1-d3" -> TestData.randomStore(1, 3, seed = 713))
+    for ((name, store) <- stores) report(out, name, store, randomQueries, extremeQueries)
   }
 
   /** Values drawn from the `Long` extremes, and from -3..3. */
@@ -46,11 +57,11 @@ object Equivalence {
     }))
   }
 
-  private def queries(store: ColumnStore, rng: Random): Seq[RangeQuery] = {
+  private def queries(store: ColumnStore, rng: Random, randomQueries: Int, extremeQueries: Int): Seq[RangeQuery] = {
     val d = store.numDims
-    val random = if (store.numRows == 0) Seq.empty else Seq.fill(80)(TestData.randomQuery(store, rng))
+    val random = if (store.numRows == 0) Seq.empty else Seq.fill(randomQueries)(TestData.randomQuery(store, rng))
     val inverted = (0 until d).map(k => RangeQuery.of(d, k -> (5L, 4L)))
-    val extreme = Seq.fill(40) {
+    val extreme = Seq.fill(extremeQueries) {
       val q = RangeQuery.full(d)
       for (k <- 0 until d if rng.nextBoolean()) {
         val a = Extremes(rng.nextInt(Extremes.length)); val b = Extremes(rng.nextInt(Extremes.length))
@@ -82,9 +93,10 @@ object Equivalence {
       }
   }
 
-  private def report(out: PrintWriter, name: String, store: ColumnStore): Unit = {
+  private def report(out: PrintWriter, name: String, store: ColumnStore,
+                     randomQueries: Int, extremeQueries: Int): Unit = {
     val aggDim = store.numDims - 1
-    val qs = queries(store, new Random(store.numDims * 31L + store.numRows))
+    val qs = queries(store, new Random(store.numDims * 31L + store.numRows), randomQueries, extremeQueries)
     for ((idxName, build) <- indexes(store, aggDim)) {
       val tag = s"$name $idxName"
       attempt(build()) match {

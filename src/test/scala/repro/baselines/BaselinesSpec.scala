@@ -269,4 +269,33 @@ class BaselinesSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("every index and Scan.brute reject a query of the wrong arity; the thread then answers as before") {
+    val s3 = TestData.randomStore(4000, 3, seed = 109)
+    val ord = Array(0, 1, 2)
+    val idxs = Seq(
+      new FullScan(s3, 1),
+      new ClusteredIndex(s3, sortDim = 0, 1),
+      new ZOrderIndex(s3, ord, 128, 1),
+      new UBTree(s3, ord, 128, 1),
+      new HyperOctree(s3, 128, 1),
+      new KdTree(s3, ord, 128, 1),
+      new GridFile(s3, 256, 1),
+      new RStarTree(s3, ord, 128, 1),
+      new FloodIndex(s3, Layout(ord, Array(4, 4)), CdfFlattening.train(s3), 1))
+    // d + 1 filters the missing dimension 3; d - 1 filters every dimension it has
+    val wrong = Seq(RangeQuery.of(4, 3 -> (0L, 100L)), RangeQuery.of(2, 0 -> (0L, 500000L), 1 -> (0L, 5000L)))
+    for (q <- wrong) {
+      assertThrows[IllegalArgumentException](Scan.brute(s3, q, 1))
+      for (idx <- idxs) assertThrows[IllegalArgumentException](idx.query(q), s"${idx.name} on $q")
+    }
+    val rng = new Random(110)
+    for (_ <- 0 until 10) {
+      val q = TestData.randomQuery(s3, rng)
+      for (idx <- idxs) {
+        val r = idx.query(q)
+        assert((r.count, r.sum) == Scan.brute(s3, q, 1), s"${idx.name} on $q")
+      }
+    }
+  }
 }
