@@ -17,8 +17,10 @@ import scala.util.Random
   * For each store (`TestData.randomStore` at d = 2, 4, 5, 7, a store of
   * `Long` extremes, 0-row and 1-row stores) it builds all nine indexes (the
   * paged ones at two page sizes, the clustered index on two dimensions and
-  * Flood on two layouts), prints each one's `sizeBytes`, then one line per
-  * query with `count`, `sum` and `scanned`, and for Flood every `FloodStats`
+  * Flood on two layouts), prints each one's `sizeBytes` (for Flood also a
+  * hash of its cell table and an order-sensitive checksum of its reordered
+  * store, so a changed layout shows even where no answer does), then one
+  * line per query with `count`, `sum` and `scanned`, and for Flood every `FloodStats`
   * counter. The queries are the unfiltered one, random ones, inverted ones
   * and ones bounded by `Long` extremes. Timings are not printed. An index
   * that throws prints the exception's class in place of its answer. Writes
@@ -103,6 +105,12 @@ object Equivalence {
         case Left(err) => out.println(s"$tag build $err")
         case Right(idx) =>
           out.println(s"$tag sizeBytes ${idx.sizeBytes}")
+          idx match {
+            case f: FloodIndex =>
+              out.println(f"$tag layout cells ${fold(Seq(f.cellTable.map(_.toLong)))}%016x " +
+                f"data ${fold(f.data.columns.toSeq)}%016x")
+            case _ =>
+          }
           for ((q, i) <- qs.zipWithIndex) {
             val line = attempt(idx match {
               case f: FloodIndex =>
@@ -117,6 +125,16 @@ object Equivalence {
           }
       }
     }
+  }
+
+  /** FNV-style order-sensitive 64-bit fold of every value, column by column. */
+  private def fold(cols: Seq[Array[Long]]): Long = {
+    var h = 0xcbf29ce484222325L
+    for (col <- cols) {
+      var i = 0
+      while (i < col.length) { h = (h ^ col(i)) * 0x100000001b3L; h ^= h >>> 29; i += 1 }
+    }
+    h
   }
 
   private def attempt[T](f: => T): Either[String, T] =
