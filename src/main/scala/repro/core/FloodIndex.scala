@@ -23,6 +23,25 @@ final case class FloodStats(
     IndexResult(count, sum, scanned, projectionNanos + refineNanos, scanNanos)
 }
 
+/** Nanoseconds of each phase of Flood's loading (paper Table 4 "Flood
+  * Loading"): assigning rows to cells, sorting all rows by the sort
+  * dimension, the counting sort of that order by cell (which leaves each
+  * cell sorted), reordering the store, the per-cell boxes, the per-cell PLMs
+  * and the aggregation column's prefix sums. Their sum is at most the
+  * index's `buildNanos`.
+  */
+final case class FloodLoadNanos(
+    assign: Long,
+    keySort: Long,
+    countingSort: Long,
+    reorder: Long,
+    boxes: Long,
+    plms: Long,
+    prefixSums: Long
+) {
+  def total: Long = assign + keySort + countingSort + reorder + boxes + plms + prefixSums
+}
+
 /** Flood: the learned multi-dimensional in-memory index (paper §3–§5).
   *
   * The first `d-1` dimensions of `layout.order` form a grid whose columns are
@@ -64,6 +83,7 @@ final class FloodIndex(
   private var cellStart: Array[Int] = _
   private var cellBoxes: RangeBoxes = _
   private var plms: Array[Plm] = _
+  private var loadV: FloodLoadNanos = _
 
   // the non-empty cells of the calling thread's current query, reused
   private val cellBuf = ThreadLocal.withInitial[Array[Int]](() => new Array[Int](256))
@@ -80,57 +100,71 @@ final class FloodIndex(
   /** Physical start of each cell (length numCells + 1). */
   def cellTable: Array[Int] = cellStart
 
-  private def cellOf(row: Int): Int = {
-    var id = 0L
-    var i = 0
-    while (i < gDims.length) {
-      id += flattening.colOf(gDims(i), store(gDims(i), row), gCols(i)) * strides(i)
-      i += 1
-    }
-    id.toInt
-  }
+  /** Nanoseconds of each loading phase of the build that made this index. */
+  def loadNanos: FloodLoadNanos = loadV
 
   private def build(): Unit = {
     val n = store.numRows
-    val cellIds = new Array[Int](n)
-    var i = 0
-    while (i < n) { cellIds(i) = cellOf(i); i += 1 }
+    var t = System.nanoTime()
+    def lap(): Long = { val now = System.nanoTime(); val d = now - t; t = now; d }
 
-    // counting sort by cell id (stable)
+    // cell assignment, one grid dimension at a time through its compiled
+    // column boundaries (the same columns as `flattening.colOf`)
+    val cellIds = new Array[Int](n)
+    var g = 0
+    while (g < gDims.length) {
+      if (gCols(g) > 1) {
+        val b = flattening.boundaries(gDims(g), gCols(g))
+        val col = store.columns(gDims(g))
+        val stride = strides(g).toInt
+        var i = 0
+        while (i < n) { cellIds(i) += b.column(col(i)) * stride; i += 1 }
+      }
+      g += 1
+    }
+    val assignNs = lap()
+
+    // every row in sort-key order (stable), then a stable counting sort of
+    // that order by cell: each cell's rows come out sorted by key, ties in
+    // row order
+    val byKey = Sort.order(store.columns(sDim))
+    val keySortNs = lap()
     val counts = new Array[Int](numCells + 1)
-    i = 0
+    var i = 0
     while (i < n) { counts(cellIds(i) + 1) += 1; i += 1 }
     i = 1
     while (i <= numCells) { counts(i) += counts(i - 1); i += 1 }
-    cellStart = counts.clone()
+    cellStart = counts
+    val next = java.util.Arrays.copyOf(cellStart, numCells)
     val perm = new Array[Int](n)
-    val cursor = new Array[Int](numCells)
     i = 0
     while (i < n) {
-      val c = cellIds(i)
-      perm(cellStart(c) + cursor(c)) = i
-      cursor(c) += 1
+      val row = byKey(i)
+      val c = cellIds(row)
+      perm(next(c)) = row
+      next(c) += 1
       i += 1
     }
-
-    // sort each cell's rows by the sort dimension
-    var c = 0
-    while (c < numCells) { Sort.byKey(perm, store.columns(sDim), cellStart(c), cellStart(c + 1)); c += 1 }
+    val countingSortNs = lap()
 
     dataV = store.reorder(perm)
+    val reorderNs = lap()
 
     // per-cell min/max (exactness checks) + per-cell PLMs
     cellBoxes = RangeBoxes.of(dataV, cellStart)
+    val boxesNs = lap()
     plms = new Array[Plm](numCells)
     val sorted = dataV.columns(sDim)
-    c = 0
+    var c = 0
     while (c < numCells) {
       val s = cellStart(c); val e = cellStart(c + 1)
       if (e - s >= PlmMinRows) plms(c) = Plm.build(sorted, s, e, PlmDelta)
       c += 1
     }
+    val plmsNs = lap()
 
     dataV.buildPrefixSums(aggDim)
+    loadV = FloodLoadNanos(assignNs, keySortNs, countingSortNs, reorderNs, boxesNs, plmsNs, lap())
   }
 
   /** Answer `q`, reporting the full per-phase statistics. */

@@ -9,8 +9,9 @@ import repro.store.{ColumnStore, RangeQuery}
   * DataFrame-level data skipping.
   *
   * The paper's index is a storage order plus a cell table; in Spark terms
-  * that is: (1) compute a `flood_cell` id for every row from the learned
-  * per-dimension CDFs (flattening) and the layout's column counts, (2)
+  * that is: (1) compute a `flood_cell` id for every row from the column
+  * boundaries of the learned per-dimension CDFs (flattening) at the layout's
+  * column counts, (2)
   * repartition by cell range and sort within partitions by
   * `(flood_cell, sortDim)` — giving exactly the paper's depth-first cell
   * traversal order with sort-dimension runs inside each cell — and (3)
@@ -53,15 +54,17 @@ object FloodSpark {
     SparkLayout(names, Layout(names.indices.toArray, cols.toArray), CdfFlattening.train(sample))
   }
 
-  /** The `flood_cell` expression for a layout. */
+  /** The `flood_cell` expression for a layout. Each grid dimension's UDF
+    * carries only that dimension's compiled column boundaries and assigns
+    * columns the way `FloodIndex` loading does.
+    */
   def cellColumn(layout: SparkLayout): Column = {
     val l = layout.layout
-    val flat = layout.flattening
     val strides = l.strides
     val parts = l.gridDims.indices.map { i =>
       val dim = l.gridDims(i)
-      val c = l.cols(i)
-      val colOfUdf = udf((v: Long) => flat.colOf(dim, v, c).toLong)
+      val bounds = layout.flattening.boundaries(dim, l.cols(i))
+      val colOfUdf = udf((v: Long) => bounds.column(v).toLong)
       colOfUdf(col(layout.names(dim)).cast("long")) * lit(strides(i))
     }
     parts.reduceOption(_ + _).getOrElse(lit(0L)).as("flood_cell")

@@ -88,4 +88,29 @@ class FlatteningSpec extends AnyFunSuite {
     val l = LinearFlattening.fromStore(s)
     assert(l.colOf(0, 5L, 4) >= 0 && l.colOf(0, 5L, 4) < 4)
   }
+
+  test("compiled boundaries assign every value the column colOf assigns") {
+    val rng = new Random(65)
+    val skewed = ColumnStore.of("k" -> Array.fill(4000)((math.pow(rng.nextDouble(), 6) * 1e12).toLong))
+    val dups = ColumnStore.of("k" -> Array.fill(4000)(rng.nextInt(5).toLong * 1000 - 2000))
+    val constant = ColumnStore.of("k" -> Array.fill(4000)(42L))
+    // colOf(Long.MaxValue) is about c / 2: the upper columns are unreachable
+    val half = new Flattening {
+      def frac(dim: Int, v: Long): Double = 0.5 * ((v.toDouble - Long.MinValue.toDouble) / math.pow(2, 64))
+      def sizeBytes: Long = 0
+    }
+    val cases = Seq[(String, Flattening, Int)](
+      ("cdf skewed", CdfFlattening.train(skewed), 0), ("cdf duplicates", CdfFlattening.train(dups), 0),
+      ("cdf constant", CdfFlattening.train(constant), 0), ("cdf random-store d1", cdf, 1),
+      ("linear", lin, 2), ("half", half, 0))
+    for ((name, f, dim) <- cases; c <- Seq(1, 2, 3, 96, 128)) {
+      val b = f.boundaries(dim, c)
+      assert(b.bounds.length == f.colOf(dim, Long.MaxValue, c), s"$name c=$c")
+      assert(b.bounds.zip(b.bounds.drop(1)).forall { case (x, y) => x <= y }, s"$name c=$c")
+      val probes = Seq(Long.MinValue, Long.MaxValue, 0L) ++ Seq.fill(2000)(rng.nextLong()) ++
+        Seq.fill(500)(rng.nextLong() % 1000000000000L) ++ b.bounds.flatMap(v => Seq(v - 1, v, v + 1))
+      for (v <- probes) assert(b.column(v) == f.colOf(dim, v, c), s"$name c=$c v=$v")
+    }
+    assert(half.boundaries(0, 128).bounds.length < 127)
+  }
 }

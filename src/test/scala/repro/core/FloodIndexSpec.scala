@@ -236,6 +236,14 @@ class FloodIndexSpec extends AnyFunSuite {
     assert(flood.buildNanos > 0)
   }
 
+  test("load-phase timings are non-negative and sum to at most buildNanos") {
+    val l = flood.loadNanos
+    val phases = Seq(l.assign, l.keySort, l.countingSort, l.reorder, l.boxes, l.plms, l.prefixSums)
+    assert(phases.forall(_ >= 0), l)
+    assert(l.total == phases.sum)
+    assert(l.total <= flood.buildNanos, s"$l against buildNanos ${flood.buildNanos}")
+  }
+
   test("duplicate-heavy store is handled") {
     val rng = new Random(79)
     val s = ColumnStore.of(
