@@ -38,9 +38,7 @@ final case class FloodLoadNanos(
     boxes: Long,
     plms: Long,
     prefixSums: Long
-) {
-  def total: Long = assign + keySort + countingSort + reorder + boxes + plms + prefixSums
-}
+)
 
 /** Flood: the learned multi-dimensional in-memory index (paper §3–§5).
   *

@@ -240,8 +240,7 @@ class FloodIndexSpec extends AnyFunSuite {
     val l = flood.loadNanos
     val phases = Seq(l.assign, l.keySort, l.countingSort, l.reorder, l.boxes, l.plms, l.prefixSums)
     assert(phases.forall(_ >= 0), l)
-    assert(l.total == phases.sum)
-    assert(l.total <= flood.buildNanos, s"$l against buildNanos ${flood.buildNanos}")
+    assert(phases.sum <= flood.buildNanos, s"$l against buildNanos ${flood.buildNanos}")
   }
 
   test("duplicate-heavy store is handled") {

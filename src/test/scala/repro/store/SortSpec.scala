@@ -19,15 +19,19 @@ class SortSpec extends AnyFunSuite {
     Array.fill(n)(rng.nextInt(3).toLong), // heavy duplicates: stability decides the order
     Array.fill(n)(if (rng.nextBoolean()) Long.MinValue else Long.MaxValue),
     Array.tabulate(n)(i => (n - i).toLong), // descending
-    Array.tabulate(n)(_.toLong)) // already sorted
+    Array.tabulate(n)(_.toLong), // already sorted
+    Array.fill(n)(rng.nextLong() >> 40), // keys that differ only in their low bytes, either sign
+    Array.fill(n)(rng.nextInt(1 << 20).toLong << 24), // ... only in middle bytes
+    Array.fill(n)(-rng.nextInt(1000).toLong))
 
   test("matches the stable boxed sort on every length and key shape") {
     val rng = new Random(1)
-    for (n <- Seq(0, 1, 2, 16, 17, 33, 64, 65, 1000); key <- keys(n, rng)) {
+    for (n <- Seq(0, 1, 2, 16, 17, 33, 64, 65, 1000, 5000); key <- keys(n, rng)) {
       val rows = rng.shuffle(Array.range(0, n).toSeq).toArray
       val expect = reference(rows, key, 0, n)
       Sort.byKey(rows, key, 0, n)
       assert(rows.sameElements(expect), s"n=$n")
+      assert(Sort.order(key).sameElements(reference(Array.range(0, n), key, 0, n)), s"order n=$n")
     }
   }
 
@@ -47,21 +51,5 @@ class SortSpec extends AnyFunSuite {
     val key = Array(3L, Long.MinValue, 3L, Long.MaxValue, -1L, 3L, Long.MinValue)
     assert(Sort.order(key).sameElements(Array(1, 6, 4, 0, 2, 5, 3)))
     assert(Sort.order(Array.emptyLongArray).isEmpty)
-  }
-
-  test("matches the stable boxed sort around the radix threshold and on keys that differ in few bytes") {
-    val rng = new Random(3)
-    for (n <- Seq(64, 65, 300, 5000); key <- keys(n, rng) ++ Seq(Array.fill(n)(rng.nextLong() >> 40),
-        Array.fill(n)(rng.nextInt(1 << 20).toLong << 24), Array.fill(n)(-rng.nextInt(1000).toLong))) {
-      val rows = rng.shuffle(Array.range(0, n).toSeq).toArray
-      val from = rng.nextInt(n / 4)
-      val until = n - rng.nextInt(n / 4)
-      for ((s, e) <- Seq((0, n), (from, until))) {
-        val r = rows.clone()
-        Sort.byKey(r, key, s, e)
-        assert(r.sameElements(reference(rows, key, s, e)), s"n=$n [$s, $e)")
-      }
-      assert(Sort.order(key).sameElements(reference(Array.range(0, n), key, 0, n)), s"n=$n")
-    }
   }
 }
