@@ -52,8 +52,8 @@ object Sort {
       i += 1
     }
     var k = keys; var r = rows
-    var kOut = if (digits.isEmpty) keys else new Array[Long](n)
-    var rOut = if (digits.isEmpty) rows else new Array[Int](n)
+    var kOut = new Array[Long](n)
+    var rOut = new Array[Int](n)
     val next = new Array[Int](Radix)
     var j = 0
     while (j < digits.length) {
