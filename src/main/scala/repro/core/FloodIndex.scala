@@ -47,7 +47,7 @@ final case class FloodLoadNanos(
   * dimension sorts points within each cell. Queries are answered by
   * projection (find intersecting cells), refinement (narrow each cell's
   * physical range on the sort dimension: a per-cell PLM with average error
-  * δ = 50 (paper §7.8) plus exponential search in cells of at least 32
+  * δ = 50 (paper §7.8) plus exponential search in cells of at least 2^18
   * rows, binary search in smaller ones), and scan (the shared `Candidates`
   * scan: filter checks only on the dimensions a cell's box is not inside,
   * exact ranges answered from prefix sums — §7.1). Queries may run on
@@ -75,7 +75,6 @@ final class FloodIndex(
   private val strides = layout.strides
   private val numCells = layout.numCells.toInt
   private final val PlmDelta = 50.0
-  private final val PlmMinRows = 32
 
   private var dataV: ColumnStore = _
   private var cellStart: Array[Int] = _
@@ -156,7 +155,7 @@ final class FloodIndex(
     var c = 0
     while (c < numCells) {
       val s = cellStart(c); val e = cellStart(c + 1)
-      if (e - s >= PlmMinRows) plms(c) = Plm.build(sorted, s, e, PlmDelta)
+      if (e - s >= FloodIndex.PlmMinRows) plms(c) = Plm.build(sorted, s, e, PlmDelta)
       c += 1
     }
     val plmsNs = lap()
@@ -197,8 +196,8 @@ final class FloodIndex(
       var s = cellStart(c)
       var e = cellStart(c + 1)
       if (sortFiltered) {
-        val plm = plms(c)
-        if (plm != null) {
+        if (e - s >= FloodIndex.PlmMinRows) {
+          val plm = plms(c)
           val g1 = s + plm.predict(q.lo(sDim))
           s = SearchUtil.lowerBoundRange(sortCol, q.lo(sDim), g1, s, e)
           if (s < e) {
@@ -232,6 +231,15 @@ final class FloodIndex(
   def sizeBytes: Long =
     cellStart.length.toLong * 4 + cellBoxes.sizeBytes + plmBytes + flattening.sizeBytes
 
-  /** PLM metadata share of the index size (paper: >95% of Flood's space). */
+  /** Bytes of the per-cell PLMs, a part of `sizeBytes`. */
   def plmBytes: Long = plms.iterator.filter(_ != null).map(_.sizeBytes).sum
+}
+
+object FloodIndex {
+
+  /** Rows of the smallest cell refined through a PLM. Below it a binary
+    * search of the cell is faster: this is the crossover that
+    * `repro.RefineCrossover` measures.
+    */
+  private[repro] final val PlmMinRows = 1 << 18
 }

@@ -95,20 +95,62 @@ class FloodIndexSpec extends AnyFunSuite {
     scanned
   }
 
+  private def cellSizes(idx: FloodIndex): Seq[Int] =
+    idx.cellTable.toSeq.zip(idx.cellTable.tail).map { case (s, e) => e - s }
+
   test("refinement scans the binary-searched range of every cell") {
     val coarse = new FloodIndex(store, Layout(Array(0, 1, 2, 3), Array(4, 2, 2)), flat, aggDim = 1)
     // sorted by the 8-valued dimension: refinement bounds fall inside runs of duplicates
     val dupSort = new FloodIndex(store, Layout(Array(0, 1, 3, 2), Array(6, 3, 1)), flat, aggDim = 1)
-    val smallCells = flood.cellTable.zip(flood.cellTable.tail).count { case (s, e) => e > s && e - s < 32 }
-    // every cell of `coarse` is refined by its PLM, most of `flood`'s by binary search
-    assert(coarse.cellTable.zip(coarse.cellTable.tail).forall { case (s, e) => e - s >= 32 })
-    assert(smallCells > layout.numCells / 2, s"$smallCells cells under 32 rows")
+    // every cell of these layouts is below the PLM size rule: all are binary-searched
+    for (idx <- Seq(flood, coarse, dupSort)) assert(cellSizes(idx).max < FloodIndex.PlmMinRows, idx.layout)
     val rng = new Random(75)
     for (idx <- Seq(flood, coarse, dupSort); i <- 0 until 80) {
       val q = TestData.randomQuery(store, rng)
       val r = idx.queryWithStats(q)
       assert(r.scanned == referenceScanned(idx, q), s"layout ${idx.layout} query $i: $q")
       assert((r.count, r.sum) == Scan.brute(store, q, aggDim = 1), s"layout ${idx.layout} query $i: $q")
+    }
+  }
+
+  test("cells at or above the PLM size rule: PLM refinement scans the binary-searched range") {
+    // a grid column that puts ~90% of the rows in cell 0 (at or above the
+    // rule) and the rest in cell 1 (below it); duplicate-heavy sort keys
+    // with runs of the `Long` extremes
+    val n = FloodIndex.PlmMinRows + FloodIndex.PlmMinRows / 4
+    val rng = new Random(80)
+    val s = ColumnStore.of(
+      "g" -> Array.fill(n)(if (rng.nextInt(10) < 9) rng.nextInt(1000).toLong else 1000L + rng.nextInt(1000)),
+      "k" -> Array.fill(n) {
+        rng.nextInt(100) match {
+          case 0 => Long.MinValue
+          case 1 => Long.MaxValue
+          case _ => rng.nextInt(3000).toLong - 1500
+        }
+      })
+    val split = new FloodIndex(s, Layout(Array(0, 1), Array(2)), LinearFlattening.fromStore(s), aggDim = 0)
+    val one = new FloodIndex(s, Layout(Array(0, 1), Array(1)), LinearFlattening.fromStore(s), aggDim = 0)
+    val sizes = cellSizes(split)
+    assert(sizes.exists(_ >= FloodIndex.PlmMinRows) && sizes.exists(_ < FloodIndex.PlmMinRows), sizes)
+    assert(split.plmBytes > 0 && one.plmBytes > 0)
+    val extremes = Array(Long.MinValue, Long.MinValue + 1, -1L, 0L, 1L, Long.MaxValue - 1, Long.MaxValue)
+    def key() = s(1, rng.nextInt(n))
+    val queries = Seq.fill(40) { // random bounds on the sort dimension, sometimes also on the grid
+      val q = TestData.randomQuery(s, rng)
+      val (a, b) = (key() - rng.nextInt(50), key() + rng.nextInt(50))
+      q.lo(1) = math.min(a, b); q.hi(1) = math.max(a, b)
+      q
+    } ++ Seq.fill(20) { val v = key(); RangeQuery.of(2, 1 -> (v, v)) } ++ // points
+      Seq.fill(10) { val v = rng.nextInt(3000).toLong - 1500; RangeQuery.of(2, 1 -> (v + 1, v)) } ++ // inverted
+      Seq.fill(40) { // Long-extreme bounds mixed with keys
+        def bound() = if (rng.nextBoolean()) extremes(rng.nextInt(extremes.length)) else key()
+        val (a, b) = (bound(), bound())
+        RangeQuery.of(2, 1 -> (math.min(a, b), math.max(a, b)))
+      }
+    for (idx <- Seq(split, one); (q, i) <- queries.zipWithIndex) {
+      val r = idx.queryWithStats(q)
+      assert(r.scanned == referenceScanned(idx, q), s"layout ${idx.layout} query $i: $q")
+      assert((r.count, r.sum) == Scan.brute(s, q, aggDim = 0), s"layout ${idx.layout} query $i: $q")
     }
   }
 
@@ -218,12 +260,17 @@ class FloodIndexSpec extends AnyFunSuite {
     }
   }
 
-  test("sizeBytes > 0 and per-cell PLMs are present on coarse layouts") {
+  test("sizeBytes > 0 and PLMs are built only for cells at or above the size rule") {
     assert(flood.sizeBytes > 0)
-    // a coarser grid leaves enough points per cell for PLMs to be built
-    val coarse = new FloodIndex(store, Layout(Array(0, 1, 2, 3), Array(4, 2, 2)), flat)
-    assert(coarse.plmBytes > 0)
-    assert(coarse.sizeBytes > coarse.plmBytes)
+    // one cell of all 3000 rows is still below the rule: no PLM
+    val oneCell = new FloodIndex(store, Layout(Array(0, 1, 2, 3), Array(1, 1, 1)), flat)
+    assert(store.numRows < FloodIndex.PlmMinRows)
+    assert(oneCell.plmBytes == 0 && flood.plmBytes == 0)
+    // a cell at the rule gets one
+    val big = ColumnStore.of("x" -> Array.tabulate(FloodIndex.PlmMinRows)(_.toLong), "y" -> new Array[Long](FloodIndex.PlmMinRows))
+    val withPlm = new FloodIndex(big, Layout(Array(1, 0), Array(1)), LinearFlattening.fromStore(big))
+    assert(withPlm.plmBytes > 0)
+    assert(withPlm.sizeBytes > withPlm.plmBytes)
   }
 
   test("rejects layouts over foreign dimensionality") {
