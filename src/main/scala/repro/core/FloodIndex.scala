@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.model.{Plm, SearchUtil}
+import repro.model.SearchUtil
 import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeBoxes, RangeQuery, Sort}
 
 /** Per-query statistics, decomposed the way the paper's cost model is
@@ -26,9 +26,9 @@ final case class FloodStats(
 /** Nanoseconds of each phase of Flood's loading (paper Table 4 "Flood
   * Loading"): assigning rows to cells, sorting all rows by the sort
   * dimension, the counting sort of that order by cell (which leaves each
-  * cell sorted), reordering the store, the per-cell boxes, the per-cell PLMs
-  * and the aggregation column's prefix sums. Their sum is at most the
-  * index's `buildNanos`.
+  * cell sorted), reordering the store, the per-cell boxes and the
+  * aggregation column's prefix sums. Their sum is at most the index's
+  * `buildNanos`.
   */
 final case class FloodLoadNanos(
     assign: Long,
@@ -36,7 +36,6 @@ final case class FloodLoadNanos(
     countingSort: Long,
     reorder: Long,
     boxes: Long,
-    plms: Long,
     prefixSums: Long
 )
 
@@ -46,11 +45,11 @@ final case class FloodLoadNanos(
   * spaced by `flattening` (learned CDFs in the full system); the last
   * dimension sorts points within each cell. Queries are answered by
   * projection (find intersecting cells), refinement (narrow each cell's
-  * physical range on the sort dimension: a per-cell PLM with average error
-  * δ = 50 (paper §7.8) plus exponential search in cells of at least 2^18
-  * rows, binary search in smaller ones), and scan (the shared `Candidates`
-  * scan: filter checks only on the dimensions a cell's box is not inside,
-  * exact ranges answered from prefix sums — §7.1). Queries may run on
+  * physical range on the sort dimension by binary search; the paper's
+  * per-cell PLM only wins in cells far larger than any layout here builds,
+  * see `repro.RefineCrossover`), and scan (the shared `Candidates` scan:
+  * filter checks only on the dimensions a cell's box is not inside, exact
+  * ranges answered from prefix sums — §7.1). Queries may run on
   * several threads at once: the buffers a query reuses are per thread.
   *
   * @param store      input data (any row order)
@@ -74,12 +73,10 @@ final class FloodIndex(
   private val sDim = layout.sortDim
   private val strides = layout.strides
   private val numCells = layout.numCells.toInt
-  private final val PlmDelta = 50.0
 
   private var dataV: ColumnStore = _
   private var cellStart: Array[Int] = _
   private var cellBoxes: RangeBoxes = _
-  private var plms: Array[Plm] = _
   private var loadV: FloodLoadNanos = _
 
   // the non-empty cells of the calling thread's current query, reused
@@ -147,21 +144,12 @@ final class FloodIndex(
     dataV = store.reorder(perm)
     val reorderNs = lap()
 
-    // per-cell min/max (exactness checks) + per-cell PLMs
+    // per-cell min/max (exactness checks)
     cellBoxes = RangeBoxes.of(dataV, cellStart)
     val boxesNs = lap()
-    plms = new Array[Plm](numCells)
-    val sorted = dataV.columns(sDim)
-    var c = 0
-    while (c < numCells) {
-      val s = cellStart(c); val e = cellStart(c + 1)
-      if (e - s >= FloodIndex.PlmMinRows) plms(c) = Plm.build(sorted, s, e, PlmDelta)
-      c += 1
-    }
-    val plmsNs = lap()
 
     dataV.buildPrefixSums(aggDim)
-    loadV = FloodLoadNanos(assignNs, keySortNs, countingSortNs, reorderNs, boxesNs, plmsNs, lap())
+    loadV = FloodLoadNanos(assignNs, keySortNs, countingSortNs, reorderNs, boxesNs, lap())
   }
 
   /** Answer `q`, reporting the full per-phase statistics. */
@@ -196,18 +184,8 @@ final class FloodIndex(
       var s = cellStart(c)
       var e = cellStart(c + 1)
       if (sortFiltered) {
-        if (e - s >= FloodIndex.PlmMinRows) {
-          val plm = plms(c)
-          val g1 = s + plm.predict(q.lo(sDim))
-          s = SearchUtil.lowerBoundRange(sortCol, q.lo(sDim), g1, s, e)
-          if (s < e) {
-            val g2 = cellStart(c) + plm.predict(q.hi(sDim))
-            e = SearchUtil.upperBoundRange(sortCol, q.hi(sDim), g2, s, e)
-          }
-        } else {
-          s = SearchUtil.binaryLowerBound(sortCol, q.lo(sDim), s, e)
-          if (s < e) e = SearchUtil.binaryUpperBound(sortCol, q.hi(sDim), s, e)
-        }
+        s = SearchUtil.binaryLowerBound(sortCol, q.lo(sDim), s, e)
+        if (s < e) e = SearchUtil.binaryUpperBound(sortCol, q.hi(sDim), s, e)
       }
       if (s < e) {
         val checks = cellBoxes.checks(c, q) & unsorted
@@ -229,17 +207,11 @@ final class FloodIndex(
   def query(q: RangeQuery): IndexResult = queryWithStats(q).toIndexResult
 
   def sizeBytes: Long =
-    cellStart.length.toLong * 4 + cellBoxes.sizeBytes + plmBytes + flattening.sizeBytes
+    cellStart.length.toLong * 4 + cellBoxes.sizeBytes + flattening.sizeBytes
 
-  /** Bytes of the per-cell PLMs, a part of `sizeBytes`. */
-  def plmBytes: Long = plms.iterator.filter(_ != null).map(_.sizeBytes).sum
-}
-
-object FloodIndex {
-
-  /** Rows of the smallest cell refined through a PLM. Below it a binary
-    * search of the cell is faster: this is the crossover that
-    * `repro.RefineCrossover` measures.
+  /** Bytes of per-cell PLMs: always 0, since Flood refines every cell by
+    * binary search and builds no per-cell model. Kept because the benchmark
+    * reports it as `core.plm_bytes`.
     */
-  private[repro] final val PlmMinRows = 1 << 18
+  def plmBytes: Long = 0L
 }

@@ -9,7 +9,7 @@ import repro.store.{Grid, RangeQuery}
   */
 final case class Layout(order: Array[Int], cols: Array[Int]) {
   require(order.length == cols.length + 1, "cols must cover all but the sort dimension")
-  require(order.distinct.length == order.length, "order must be a permutation")
+  require(order.sorted.sameElements(order.indices), "order must be a permutation of 0 until d")
   require(cols.forall(_ >= 1), "each grid dimension needs at least one column")
 
   /** Total number of dimensions. */

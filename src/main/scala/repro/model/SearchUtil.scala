@@ -14,7 +14,7 @@ object SearchUtil {
     lowerBoundRange(arr, v, guess, 0, arr.length)
 
   /** Like `lowerBound` but restricted to the slice `[s, e)` of `arr`
-    * (used for per-cell refinement where the cell occupies `[s, e)`).
+    * (e.g. one cell, searched from a per-cell model's guess).
     */
   def lowerBoundRange(arr: Array[Long], v: Long, guess0: Int, s: Int, e: Int): Int = {
     if (e <= s) return s
@@ -54,7 +54,9 @@ object SearchUtil {
     if (v == Long.MaxValue) e
     else lowerBoundRange(arr, v + 1, guess, s, e)
 
-  /** Plain binary lower bound on a slice (baseline refinement, §3.2.2). */
+  /** Plain binary lower bound on a slice: how Flood refines a cell (the
+    * paper's baseline refinement, §3.2.2).
+    */
   def binaryLowerBound(arr: Array[Long], v: Long, s: Int, e: Int): Int = {
     var l = s; var h = e
     while (l < h) {

@@ -22,8 +22,10 @@ object Calibration {
 
   /** A random layout: random dimension ordering, random per-dimension column
     * counts targeting a random total cell count of up to 2^13 (paper §4.1.1).
+    * One dimension has no grid to split, so it gets the one-cell layout.
     */
   def randomLayout(d: Int, rng: Random): Layout = {
+    if (d == 1) return Layout(Array(0), Array())
     val order = rng.shuffle((0 until d).toList).toArray
     val g = d - 1
     val targetLog2 = 2 + rng.nextInt(math.max(1, MaxTotalLog2 - 2))

@@ -7,8 +7,10 @@ import repro.store.ColumnStore
 import java.io.PrintWriter
 import scala.util.Random
 
-/** Times Flood's two ways of refining a cell on the sort dimension, per
-  * refined cell, at cell sizes from 2^7 rows up to the whole store:
+/** The paper's refinement ablation (§7.8): the per-cell PLM against a binary
+  * search of the cell, timed per refined cell at cell sizes from 2^7 rows up
+  * to the whole store. `FloodIndex` refines by binary search only; this
+  * probe keeps the PLM side measurable:
   *
   * {{{
   * sbt "Test/runMain repro.RefineCrossover [rows] [passes]"
@@ -19,9 +21,9 @@ import scala.util.Random
   * (uniform over `rows / 4` keys, so about four rows share a key). For each
   * size `2^k` a `FloodIndex` with one grid dimension of `rows / 2^k`
   * columns lays the store out; every query filters only the sort dimension,
-  * so every cell is refined. The two ways, on the index's `data` and
-  * `cellTable`, are the per-cell PLM (`Plm.build`, δ = 50) with
-  * `SearchUtil.lowerBoundRange`/`upperBoundRange`, and
+  * so every cell is refined. The two searches, on the index's `data` and
+  * `cellTable`, are the per-cell PLM (`Plm.build`, δ = 50, as in the
+  * paper) with `SearchUtil.lowerBoundRange`/`upperBoundRange`, and
   * `SearchUtil.binaryLowerBound`/`binaryUpperBound`. Both must give every
   * cell the same `(s, e)`. Each pass times both ways over the same queries,
   * in alternating order; a line reports the median ns per cell of `passes`
@@ -40,7 +42,6 @@ object RefineCrossover {
     val out = new PrintWriter(System.out)
     val rs = run(rows, 7 to 31 - Integer.numberOfLeadingZeros(rows), passes, refinesPerPass = 1 << 21, out)
     out.println(crossover(rs).fold("crossover: PLM faster at no measured size")(c => s"crossover: $c rows per cell"))
-    out.println(s"FloodIndex's PLM size rule: ${FloodIndex.PlmMinRows} rows per cell")
     out.flush()
   }
 
@@ -92,8 +93,8 @@ object RefineCrossover {
 
   private def median(xs: Array[Double]): Double = { val s = xs.sorted; s(s.length / 2) }
 
-  /** Refine every cell for every query through the cell's PLM, as
-    * `FloodIndex` does; returns a checksum of the bounds.
+  /** Refine every cell for every query through the cell's PLM plus
+    * exponential search; returns a checksum of the bounds.
     */
   private def plmPass(sortCol: Array[Long], ct: Array[Int], plms: Array[Plm], lo: Array[Long], hi: Array[Long]): Long = {
     var sum = 0L

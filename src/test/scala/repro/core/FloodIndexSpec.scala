@@ -102,8 +102,6 @@ class FloodIndexSpec extends AnyFunSuite {
     val coarse = new FloodIndex(store, Layout(Array(0, 1, 2, 3), Array(4, 2, 2)), flat, aggDim = 1)
     // sorted by the 8-valued dimension: refinement bounds fall inside runs of duplicates
     val dupSort = new FloodIndex(store, Layout(Array(0, 1, 3, 2), Array(6, 3, 1)), flat, aggDim = 1)
-    // every cell of these layouts is below the PLM size rule: all are binary-searched
-    for (idx <- Seq(flood, coarse, dupSort)) assert(cellSizes(idx).max < FloodIndex.PlmMinRows, idx.layout)
     val rng = new Random(75)
     for (idx <- Seq(flood, coarse, dupSort); i <- 0 until 80) {
       val q = TestData.randomQuery(store, rng)
@@ -113,11 +111,10 @@ class FloodIndexSpec extends AnyFunSuite {
     }
   }
 
-  test("cells at or above the PLM size rule: PLM refinement scans the binary-searched range") {
-    // a grid column that puts ~90% of the rows in cell 0 (at or above the
-    // rule) and the rest in cell 1 (below it); duplicate-heavy sort keys
-    // with runs of the `Long` extremes
-    val n = FloodIndex.PlmMinRows + FloodIndex.PlmMinRows / 4
+  test("hostile sort keys and bounds: refinement scans the binary-searched range") {
+    // a grid column that puts ~90% of the rows in cell 0 and the rest in
+    // cell 1; duplicate-heavy sort keys with runs of the `Long` extremes
+    val n = 4000
     val rng = new Random(80)
     val s = ColumnStore.of(
       "g" -> Array.fill(n)(if (rng.nextInt(10) < 9) rng.nextInt(1000).toLong else 1000L + rng.nextInt(1000)),
@@ -131,8 +128,7 @@ class FloodIndexSpec extends AnyFunSuite {
     val split = new FloodIndex(s, Layout(Array(0, 1), Array(2)), LinearFlattening.fromStore(s), aggDim = 0)
     val one = new FloodIndex(s, Layout(Array(0, 1), Array(1)), LinearFlattening.fromStore(s), aggDim = 0)
     val sizes = cellSizes(split)
-    assert(sizes.exists(_ >= FloodIndex.PlmMinRows) && sizes.exists(_ < FloodIndex.PlmMinRows), sizes)
-    assert(split.plmBytes > 0 && one.plmBytes > 0)
+    assert(sizes.length == 2 && sizes.min > 0 && sizes.max > 4 * sizes.min, sizes)
     val extremes = Array(Long.MinValue, Long.MinValue + 1, -1L, 0L, 1L, Long.MaxValue - 1, Long.MaxValue)
     def key() = s(1, rng.nextInt(n))
     val queries = Seq.fill(40) { // random bounds on the sort dimension, sometimes also on the grid
@@ -260,23 +256,24 @@ class FloodIndexSpec extends AnyFunSuite {
     }
   }
 
-  test("sizeBytes > 0 and PLMs are built only for cells at or above the size rule") {
-    assert(flood.sizeBytes > 0)
-    // one cell of all 3000 rows is still below the rule: no PLM
+  test("sizeBytes > 0 and plmBytes is 0 on every layout") {
     val oneCell = new FloodIndex(store, Layout(Array(0, 1, 2, 3), Array(1, 1, 1)), flat)
-    assert(store.numRows < FloodIndex.PlmMinRows)
-    assert(oneCell.plmBytes == 0 && flood.plmBytes == 0)
-    // a cell at the rule gets one
-    val big = ColumnStore.of("x" -> Array.tabulate(FloodIndex.PlmMinRows)(_.toLong), "y" -> new Array[Long](FloodIndex.PlmMinRows))
-    val withPlm = new FloodIndex(big, Layout(Array(1, 0), Array(1)), LinearFlattening.fromStore(big))
-    assert(withPlm.plmBytes > 0)
-    assert(withPlm.sizeBytes > withPlm.plmBytes)
+    val fine = new FloodIndex(store, Layout(Array(3, 2, 1, 0), Array(32, 8, 4)), flat)
+    for (idx <- Seq(flood, oneCell, fine)) {
+      assert(idx.sizeBytes > 0, idx.layout)
+      assert(idx.plmBytes == 0, idx.layout)
+    }
   }
 
   test("rejects layouts over foreign dimensionality") {
     intercept[IllegalArgumentException] {
       new FloodIndex(store, Layout(Array(0, 1), Array(4)), flat)
     }
+    // four distinct entries, but not the dimensions 0 until 4
+    for (order <- Seq(Array(0, 1, 2, 4), Array(0, 1, -1, 3)))
+      intercept[IllegalArgumentException] {
+        new FloodIndex(store, Layout(order, Array(2, 2, 2)), flat)
+      }
   }
 
   test("buildNanos is measured") {
@@ -285,7 +282,7 @@ class FloodIndexSpec extends AnyFunSuite {
 
   test("load-phase timings are non-negative and sum to at most buildNanos") {
     val l = flood.loadNanos
-    val phases = Seq(l.assign, l.keySort, l.countingSort, l.reorder, l.boxes, l.plms, l.prefixSums)
+    val phases = Seq(l.assign, l.keySort, l.countingSort, l.reorder, l.boxes, l.prefixSums)
     assert(phases.forall(_ >= 0), l)
     assert(phases.sum <= flood.buildNanos, s"$l against buildNanos ${flood.buildNanos}")
   }

@@ -1,9 +1,11 @@
 package repro.opt
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
 import repro.core.{CdfFlattening, FloodIndex, Layout}
 import repro.store.{RangeQuery, Scan}
-import repro.workload.{Datasets, Workloads}
+import repro.workload.{Dataset, Datasets, Workloads}
+
+import scala.util.Random
 
 class LayoutOptimizerSpec extends SparkSpec {
 
@@ -40,6 +42,21 @@ class LayoutOptimizerSpec extends SparkSpec {
     val default = Layout.uniform(
       Workloads.selectivityOrder(ds.store, wl.train), targetCells = 4096)
     assert(eval.objective(r.layout, model) <= eval.objective(default, model) * 1.001)
+  }
+
+  test("one-column store: calibrate, search and build match brute force") {
+    val one = Dataset("one", TestData.randomStore(2000, 1, seed = 16), aggDim = 0)
+    val rng = new Random(17)
+    val qs = Array.fill(40)(TestData.randomQuery(one.store, rng))
+    val random = Calibration.randomLayout(1, rng)
+    assert(random.order.toSeq == Seq(0) && random.numCells == 1)
+    val m = Calibration.calibrate(one, qs.take(20), numLayouts = 3, seed = 18)
+    val (r, flood) = LayoutOptimizer.learnAndBuild(one, CdfFlattening.train(one.store), qs, m, seed = 19)
+    assert(r.layout.numCells == 1)
+    for (q <- qs) {
+      val res = flood.query(q)
+      assert((res.count, res.sum) == Scan.brute(one.store, q, aggDim = 0), q)
+    }
   }
 
   test("learned layout answers queries correctly") {
