@@ -3,6 +3,9 @@ package repro.core
 import repro.model.SearchUtil
 import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeBoxes, RangeQuery, Sort}
 
+import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.{CountDownLatch, ExecutorService, Executors}
+
 /** Per-query statistics, decomposed the way the paper's cost model is
   * (Eq. 1): projection visits `cellsInRect` cells, refinement narrows each
   * non-empty cell, scanning touches `scanned` points of which `exactPoints`
@@ -52,6 +55,18 @@ final case class FloodLoadNanos(
   * ranges answered from prefix sums — §7.1). Queries may run on
   * several threads at once: the buffers a query reuses are per thread.
   *
+  * Each non-empty cell's refinement and scan are independent of every
+  * other cell's. A query that meets at least `FloodIndex.ParallelMinCells`
+  * non-empty cells (on tpch-scan, the ones that filter only the sort
+  * dimension) cuts its list of them into `FloodIndex.Chunks` contiguous
+  * chunks, which its caller and a small pool of daemon workers (one fewer
+  * than the host's cores) refine and scan, each through its own
+  * `Candidates`; the chunks' counts, sums (mod 2^64) and counters add up
+  * to the serial ones. A smaller query is the one-chunk case of the same
+  * loop, run on the caller. `FloodStats.refineNanos` and `scanNanos` are
+  * the sums over the chunks, i.e. single-thread work as Eq. 1 prices it;
+  * only the query's wall time falls.
+  *
   * @param store      input data (any row order)
   * @param layout     dimension ordering + per-grid-dimension column counts
   * @param flattening monotone per-dimension value→[0,1] maps
@@ -79,7 +94,8 @@ final class FloodIndex(
   private var cellBoxes: RangeBoxes = _
   private var loadV: FloodLoadNanos = _
 
-  // the non-empty cells of the calling thread's current query, reused
+  // the non-empty cells of the calling thread's current query, reused; a
+  // split query's workers read them until the query returns
   private val cellBuf = ThreadLocal.withInitial[Array[Int]](() => new Array[Int](256))
 
   val buildNanos: Long = {
@@ -153,10 +169,17 @@ final class FloodIndex(
   }
 
   /** Answer `q`, reporting the full per-phase statistics. */
-  def queryWithStats(q: RangeQuery): FloodStats = {
-    // ---- projection: the cells the query rectangle meets ----
+  def queryWithStats(q: RangeQuery): FloodStats = queryWithStats(q, FloodIndex.ParallelMinCells)
+
+  /** `queryWithStats`, refining and scanning in chunks over the workers
+    * when the query meets at least `minCellsToSplit` non-empty cells
+    * (`repro.ParallelCrossover` times both sides of the threshold).
+    */
+  private[repro] def queryWithStats(q: RangeQuery, minCellsToSplit: Int): FloodStats = {
+    q.requireDims(layout.d)
+
+    // ---- projection: the non-empty cells the query rectangle meets ----
     val t0 = System.nanoTime()
-    val cands = new Candidates(dataV, q, aggDim)
     val proj = layout.project(flattening, q)
     var cells = cellBuf.get()
     var nCells = 0
@@ -172,14 +195,38 @@ final class FloodIndex(
     }
     val t1 = System.nanoTime()
 
-    // ---- refinement: narrow each cell's physical range on the sort dim;
-    // the refined sort dim needs no per-row check ----
+    // ---- refinement and scan, of all cells at once or of contiguous
+    // chunks of them on the workers; the totals of the chunks add up ----
+    val gridChecks = q.filteredMask & ~(1L << sDim)
+    val chunks = if (nCells >= minCellsToSplit) math.max(1, math.min(FloodIndex.Chunks, nCells)) else 1
+    val tot = new Array[Long](chunks * FloodIndex.Totals)
+    if (chunks == 1) refineAndScan(q, gridChecks, cells, 0, nCells, tot, 0)
+    else new Split(q, gridChecks, cells, nCells, chunks, tot).runAll()
+    var i = FloodIndex.Totals
+    while (i < tot.length) { tot(i % FloodIndex.Totals) += tot(i); i += 1 }
+    FloodStats(
+      count = tot(0), sum = tot(1), scanned = tot(2), exactPoints = tot(3),
+      cellsInRect = proj.numCells, nonEmptyCells = nCells.toLong,
+      projectionNanos = t1 - t0, refineNanos = tot(4), scanNanos = tot(5)
+    )
+  }
+
+  /** Refine cells `cells(from until until)` (narrow each one's physical
+    * range on the sort dimension, which then needs no per-row check), scan
+    * them through one `Candidates`, and write count, sum, scanned, exact
+    * points, refinement and scan nanoseconds to `tot` at slot `k`.
+    * `gridChecks` holds the filtered grid dimensions, the only ones a
+    * cell's box can leave unchecked.
+    */
+  private def refineAndScan(q: RangeQuery, gridChecks: Long, cells: Array[Int], from: Int, until: Int,
+                            tot: Array[Long], k: Int): Unit = {
+    val t0 = System.nanoTime()
+    val cands = new Candidates(dataV, q, aggDim)
     val sortFiltered = q.filters(sDim)
     val sortCol = dataV.columns(sDim)
-    val unsorted = ~(1L << sDim)
     var exactPts = 0L
-    var i = 0
-    while (i < nCells) {
+    var i = from
+    while (i < until) {
       val c = cells(i)
       var s = cellStart(c)
       var e = cellStart(c + 1)
@@ -188,20 +235,53 @@ final class FloodIndex(
         if (s < e) e = SearchUtil.binaryUpperBound(sortCol, q.hi(sDim), s, e)
       }
       if (s < e) {
-        val checks = cellBoxes.checks(c, q) & unsorted
+        val checks = cellBoxes.checks(c, q, gridChecks)
         if (checks == 0L) exactPts += e - s
         cands.add(s, e, checks)
       }
       i += 1
     }
+    val r = cands.scan(t0)
+    val o = k * FloodIndex.Totals
+    tot(o) = r.count; tot(o + 1) = r.sum; tot(o + 2) = r.scanned
+    tot(o + 3) = exactPts; tot(o + 4) = r.indexNanos; tot(o + 5) = r.scanNanos
+  }
 
-    // ---- scan ----
-    val r = cands.scan(t1)
-    FloodStats(
-      count = r.count, sum = r.sum, scanned = r.scanned, exactPoints = exactPts,
-      cellsInRect = proj.numCells, nonEmptyCells = nCells.toLong,
-      projectionNanos = t1 - t0, refineNanos = r.indexNanos, scanNanos = r.scanNanos
-    )
+  /** One query's refinement and scan in `n` contiguous chunks of its `nCells`
+    * non-empty cells. The caller and the workers it wakes each claim the
+    * next unclaimed chunk until none is left (morsel-driven scheduling,
+    * Leis et al., SIGMOD 2014), so a worker that wakes late only leaves
+    * more chunks to the caller; the caller then waits for the chunks still
+    * running. It waits without running anything else, so no other query
+    * can overwrite its `cellBuf` meanwhile.
+    */
+  private final class Split(q: RangeQuery, gridChecks: Long, cells: Array[Int], nCells: Int, n: Int,
+                            tot: Array[Long]) extends Runnable {
+    private val next = new AtomicInteger
+    private val running = new CountDownLatch(n)
+    @volatile private var failure: Throwable = null
+
+    def run(): Unit = {
+      var k = next.getAndIncrement()
+      while (k < n) {
+        try refineAndScan(q, gridChecks, cells, (k.toLong * nCells / n).toInt, ((k + 1).toLong * nCells / n).toInt, tot, k)
+        catch { case t: Throwable => failure = t }
+        finally running.countDown()
+        k = next.getAndIncrement()
+      }
+    }
+
+    /** Run every chunk, on this thread and on up to `n - 1` workers. */
+    def runAll(): Unit = {
+      var wake = math.min(FloodIndex.Workers, n - 1)
+      while (wake > 0) { FloodIndex.pool.execute(this); wake -= 1 }
+      run()
+      var interrupted = false
+      var done = false
+      while (!done) try { running.await(); done = true } catch { case _: InterruptedException => interrupted = true }
+      if (interrupted) Thread.currentThread().interrupt()
+      if (failure != null) throw failure
+    }
   }
 
   def query(q: RangeQuery): IndexResult = queryWithStats(q).toIndexResult
@@ -214,4 +294,35 @@ final class FloodIndex(
     * reports it as `core.plm_bytes`.
     */
   def plmBytes: Long = 0L
+}
+
+object FloodIndex {
+
+  /** Non-empty cells from which a query's refinement and scan are split over
+    * the workers: the crossover `repro.ParallelCrossover` measured on a
+    * 4-core host, with the workers parked before each query. Below it the
+    * split query is not faster in nearly every trial: waking the workers
+    * costs about as much as the cells' work they take over.
+    */
+  private[repro] final val ParallelMinCells = 2048
+
+  /** Threads that refine and scan chunks besides the query's caller. */
+  private[core] val Workers: Int = Runtime.getRuntime.availableProcessors - 1
+
+  /** Chunks a split query's cells are cut into: two per thread, so a thread
+    * that starts late or runs slow holds up less than half of its share.
+    */
+  private[repro] val Chunks: Int = if (Workers == 0) 1 else 2 * (Workers + 1)
+
+  /** Count, sum, scanned, exact points, refinement and scan nanoseconds. */
+  private[core] final val Totals = 6
+
+  /** The workers: daemon threads, started on the first split query (there
+    * is none when `Workers` is 0, since `Chunks` is then 1).
+    */
+  private[core] lazy val pool: ExecutorService = Executors.newFixedThreadPool(Workers, { (r: Runnable) =>
+    val t = new Thread(r, "flood-worker")
+    t.setDaemon(true)
+    t
+  })
 }

@@ -75,9 +75,10 @@ object Scan {
   * A `Candidates` lives for one query on one thread: it borrows that
   * thread's scratch space (range list, selection vector) from construction
   * until `scan` returns, so a query allocates no scan buffers. It rejects a
-  * query whose arity is not the store's before it borrows; every index
-  * builds its `Candidates` before it reads the query, so this is the one
-  * arity check of the query path.
+  * query whose arity is not the store's before it borrows; every baseline
+  * builds its `Candidates` before it reads the query, so this is their one
+  * arity check. Flood, which builds one per chunk of cells after its
+  * projection, checks the arity first itself.
   */
 final class Candidates(data: ColumnStore, q: RangeQuery, aggDim: Int) {
   q.requireDims(data.numDims)

@@ -56,14 +56,19 @@ final class RangeBoxes(val d: Int, val numRanges: Int) {
     * box, as a bit mask (bit k for dimension k): the dimensions its rows
     * must still be checked on. 0 when every row of `r` matches `q`.
     */
-  def checks(r: Int, q: RangeQuery): Long = {
-    val fd = q.filteredDims
+  def checks(r: Int, q: RangeQuery): Long = checks(r, q, q.filteredMask)
+
+  /** `checks(r, q)` over the dimensions in `dims` alone, a subset of
+    * `q.filteredMask`: those the caller does not answer some other way. No
+    * box entry of any other dimension is read.
+    */
+  def checks(r: Int, q: RangeQuery, dims: Long): Long = {
     var m = 0L
-    var i = 0
-    while (i < fd.length) {
-      val dim = fd(i)
+    var rest = dims
+    while (rest != 0L) {
+      val dim = java.lang.Long.numberOfTrailingZeros(rest)
       if (mins(r * d + dim) < q.lo(dim) || maxs(r * d + dim) > q.hi(dim)) m |= 1L << dim
-      i += 1
+      rest &= rest - 1
     }
     m
   }

@@ -26,6 +26,11 @@ import scala.util.Random
   * that throws prints the exception's class in place of its answer. Writes
   * to the file named by the first argument, or to standard output.
   *
+  * Last comes Flood alone on `ManyCellsLayout` over `manyCellsStore`, whose
+  * large queries meet more than `FloodIndex.ParallelMinCells` non-empty
+  * cells, so the split of refinement and scan over workers shows in the
+  * output; that store also gets queries that filter only its sort dimension.
+  *
   * `golden` prints a reduced run (the d = 2 and d = 5 random stores, the
   * extremes and the 0- and 1-row stores, fewer queries) that
   * `EquivalenceGoldenSpec` compares with `src/test/resources/equivalence-golden.txt`.
@@ -48,7 +53,44 @@ object Equivalence {
     val stores = dims.map(d => s"random-d$d" -> TestData.randomStore(3000, d, seed = 700 + d)) ++
       Seq("extremes-d3" -> extremeStore(2500, 3, seed = 711), "rows0-d3" -> TestData.randomStore(0, 3, seed = 712),
         "rows1-d3" -> TestData.randomStore(1, 3, seed = 713))
-    for ((name, store) <- stores) report(out, name, store, randomQueries, extremeQueries)
+    for ((name, store) <- stores)
+      report(out, name, indexes(store, store.numDims - 1), queries(store, rngOf(store), randomQueries, extremeQueries))
+    val many = manyCellsStore
+    val rng = rngOf(many)
+    val qs = queries(many, rng, randomQueries, extremeQueries) ++ sortOnlyQueries(many, 2, rng, 10)
+    val flat = CdfFlattening.train(many)
+    report(out, "many-cells-d4", Seq("flood-fine" -> (() => new FloodIndex(many, ManyCellsLayout, flat, aggDim = 3))), qs)
+  }
+
+  private def rngOf(store: ColumnStore): Random = new Random(store.numDims * 31L + store.numRows)
+
+  /** 40,000 rows: two uniform grid columns, a sort key shared by about four
+    * rows each, and an aggregation column near `Long.MaxValue`, so sums wrap.
+    */
+  private[repro] def manyCellsStore: ColumnStore = {
+    val rng = new Random(714)
+    val n = 40000
+    ColumnStore.of(
+      "x" -> Array.fill(n)(rng.nextInt(1000000).toLong),
+      "y" -> Array.fill(n)(rng.nextInt(100000).toLong),
+      "key" -> Array.fill(n)(rng.nextInt(n / 4).toLong),
+      "agg" -> Array.fill(n)(Long.MaxValue - rng.nextInt(1000000)))
+  }
+
+  /** 128 × 64 cells over `x` and `y`, sorted by `key`: about five rows a cell. */
+  private[repro] val ManyCellsLayout = Layout(Array(0, 1, 3, 2), Array(128, 64, 1))
+
+  /** Queries that filter only dimension `k`: two-sided, point and one-sided. */
+  private def sortOnlyQueries(store: ColumnStore, k: Int, rng: Random, n: Int): Seq[RangeQuery] = {
+    val d = store.numDims
+    Seq.fill(n) {
+      val v = store(k, rng.nextInt(store.numRows))
+      rng.nextInt(3) match {
+        case 0 => RangeQuery.of(d, k -> (v - rng.nextInt(500), v + rng.nextInt(500)))
+        case 1 => RangeQuery.of(d, k -> (v, v))
+        case _ => RangeQuery.of(d, k -> (v, Long.MaxValue))
+      }
+    }
   }
 
   /** Values drawn from the `Long` extremes, and from -3..3. */
@@ -95,11 +137,9 @@ object Equivalence {
       }
   }
 
-  private def report(out: PrintWriter, name: String, store: ColumnStore,
-                     randomQueries: Int, extremeQueries: Int): Unit = {
-    val aggDim = store.numDims - 1
-    val qs = queries(store, new Random(store.numDims * 31L + store.numRows), randomQueries, extremeQueries)
-    for ((idxName, build) <- indexes(store, aggDim)) {
+  private def report(out: PrintWriter, name: String, indexes: Seq[(String, () => MultiDimIndex)],
+                     qs: Seq[RangeQuery]): Unit =
+    for ((idxName, build) <- indexes) {
       val tag = s"$name $idxName"
       attempt(build()) match {
         case Left(err) => out.println(s"$tag build $err")
@@ -125,7 +165,6 @@ object Equivalence {
           }
       }
     }
-  }
 
   /** FNV-style order-sensitive 64-bit fold of every value, column by column. */
   private def fold(cols: Seq[Array[Long]]): Long = {

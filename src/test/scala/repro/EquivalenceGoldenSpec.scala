@@ -1,6 +1,8 @@
 package repro
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{CdfFlattening, FloodIndex}
+import repro.store.RangeQuery
 
 import java.io.{PrintWriter, StringWriter}
 import java.nio.charset.StandardCharsets
@@ -32,5 +34,11 @@ class EquivalenceGoldenSpec extends AnyFunSuite {
       fail(s"line ${i + 1} differs: expected '${e.lift(i).getOrElse("<end>")}', got '${a.lift(i).getOrElse("<end>")}' " +
         s"(${e.length} lines expected, ${a.length} produced; the run's output is in $path)")
     }
+  }
+
+  test("the golden's many-cells Flood case splits its unfiltered query over the workers") {
+    val store = Equivalence.manyCellsStore
+    val idx = new FloodIndex(store, Equivalence.ManyCellsLayout, CdfFlattening.train(store), aggDim = 3)
+    assert(idx.queryWithStats(RangeQuery.full(4)).nonEmptyCells >= FloodIndex.ParallelMinCells)
   }
 }

@@ -5,6 +5,8 @@ import repro.TestData
 import repro.model.SearchUtil
 import repro.store.{ColumnStore, RangeQuery, Scan}
 
+import java.util.concurrent.{Callable, ForkJoinPool, ForkJoinTask}
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 class FloodIndexSpec extends AnyFunSuite {
@@ -25,27 +27,124 @@ class FloodIndexSpec extends AnyFunSuite {
     }
   }
 
-  test("queries from several threads at once give the single-thread answers and counters") {
-    // 2048 cells: unfiltered queries outgrow the initial per-thread buffers
-    val idx = new FloodIndex(store, Layout(Array(0, 1, 2, 3), Array(32, 16, 4)), flat, aggDim = 1)
+  /** Every counter of a query, timings aside. */
+  private def counters(s: FloodStats) = (s.count, s.sum, s.scanned, s.exactPoints, s.cellsInRect, s.nonEmptyCells)
+
+  // 20,000 rows in 64 × 32 × 4 cells: unfiltered and sort-only queries meet
+  // more than `ParallelMinCells` non-empty cells and are split over the workers
+  private lazy val bigStore = TestData.randomStore(20000, 4, seed = 76)
+  private lazy val big = new FloodIndex(bigStore, Layout(Array(0, 1, 2, 3), Array(64, 32, 4)), CdfFlattening.train(bigStore), aggDim = 1)
+  private lazy val bigQueries = {
     val rng = new Random(74)
-    val qs = RangeQuery.full(4) +: Seq.fill(60)(TestData.randomQuery(store, rng))
-    def counters(q: RangeQuery) = {
-      val s = idx.queryWithStats(q)
-      (s.count, s.sum, s.scanned, s.exactPoints, s.nonEmptyCells)
-    }
-    val expected = qs.map(counters)
-    assert(expected.head._5 > 256)
+    val keys = bigStore.columns(3)
+    val xs = bigStore.columns(0).sorted
+    RangeQuery.full(4) +: (Seq.fill(50)(TestData.randomQuery(bigStore, rng)) ++ Seq.fill(10) {
+      val (a, b) = (keys(rng.nextInt(keys.length)), keys(rng.nextInt(keys.length)))
+      RangeQuery.of(4, 3 -> (math.min(a, b), math.max(a, b)))
+    } ++ (0 until 24 by 2).map { c =>
+      // about 40 of dimension 0's 64 columns, from column c: split queries
+      // of about the same length whose cell lists differ
+      RangeQuery.of(4, 0 -> (xs(c * xs.length / 64), xs((c + 40) * xs.length / 64)))
+    })
+  }
+
+  test("queries from several threads at once give the single-thread answers and counters") {
+    val expected = bigQueries.map(q => counters(big.queryWithStats(q)))
+    assert(expected.count(_._6 >= FloodIndex.ParallelMinCells) >= 23, "the unfiltered, sort-only and 40-column queries split")
     val failures = new java.util.concurrent.atomic.AtomicInteger
     val threads = Seq.tabulate(4) { t =>
       new Thread(() =>
-        for (round <- 0 until 5; i <- new Random(t * 10 + round).shuffle(qs.indices.toList))
-          if (counters(qs(i)) != expected(i)) failures.incrementAndGet())
+        for (round <- 0 until 5; i <- new Random(t * 10 + round).shuffle(bigQueries.indices.toList))
+          if (counters(big.queryWithStats(bigQueries(i))) != expected(i)) failures.incrementAndGet())
     }
     threads.foreach(_.start())
     threads.foreach(_.join())
     assert(failures.get == 0)
-    for ((q, (c, s, _, _, _)) <- qs.zip(expected)) assert((c, s) == Scan.brute(store, q, aggDim = 1))
+    for ((q, e) <- bigQueries.zip(expected)) assert((e._1, e._2) == Scan.brute(bigStore, q, aggDim = 1))
+  }
+
+  test("queries issued from ForkJoinPool.commonPool tasks: a waiting caller runs no other query") {
+    // 16 tasks forked from a commonPool task, so they wait in the queues of
+    // the pool's threads, each running split queries. A caller that ran a
+    // queued task while it waited for its chunks would start a query inside
+    // its own, on the same thread, and overwrite the cell list its chunks
+    // are still reading
+    val expected = bigQueries.map(q => counters(big.queryWithStats(q)))
+    val inQuery = ThreadLocal.withInitial[java.lang.Boolean](() => false)
+    val nested = new java.util.concurrent.atomic.AtomicInteger
+    def check(i: Int): Boolean = {
+      if (inQuery.get) nested.incrementAndGet()
+      inQuery.set(true)
+      try counters(big.queryWithStats(bigQueries(i))) == expected(i) finally inQuery.set(false)
+    }
+    val tasks = (0 until 16).map { t =>
+      ForkJoinTask.adapt(new Callable[Int] {
+        def call(): Int = new Random(t).shuffle(bigQueries.indices.toList).count(i => !check(i))
+      })
+    }
+    val wrong = ForkJoinPool.commonPool().submit(new Callable[Int] {
+      def call(): Int = ForkJoinTask.invokeAll(tasks.asJava).asScala.map(_.join()).sum
+    })
+    assert(wrong.get == 0)
+    assert(nested.get == 0, "queries started inside a waiting query on its thread")
+  }
+
+  /** A store whose grid column `x` takes `k` values, each in a cell of its
+    * own, so every sort-only query meets exactly `k` non-empty cells; its
+    * aggregation column lies near `Long.MaxValue`, so sums wrap.
+    */
+  private def kCells(k: Int): FloodIndex = {
+    val rng = new Random(90 + k)
+    val n = 3 * k
+    val s = ColumnStore.of(
+      "x" -> Array.tabulate(n)(i => (i % k).toLong),
+      "key" -> Array.fill(n)(rng.nextInt(n).toLong - n / 2),
+      "agg" -> Array.fill(n)(Long.MaxValue - rng.nextInt(1000)))
+    new FloodIndex(s, Layout(Array(0, 2, 1), Array(4 * k, 1)), LinearFlattening.fromStore(s), aggDim = 2)
+  }
+
+  test("just below and just above ParallelMinCells: split and one-chunk queries match brute force and each other") {
+    val p = FloodIndex.ParallelMinCells
+    val extremes = Array(Long.MinValue, Long.MinValue + 1, -1L, 0L, 1L, Long.MaxValue - 1, Long.MaxValue)
+    for ((idx, k) <- Seq(kCells(p - 1) -> (p - 1), kCells(p + 1) -> (p + 1))) {
+      val s = idx.data
+      val rng = new Random(k)
+      val full = idx.queryWithStats(RangeQuery.full(3))
+      assert(full.nonEmptyCells == k)
+      assert(BigInt(full.sum) != s.columns(2).map(BigInt(_)).sum, "the aggregation column's sum wraps")
+      def key() = s(1, rng.nextInt(s.numRows))
+      def extreme() = extremes(rng.nextInt(extremes.length))
+      val sortOnly = Seq.fill(20) {
+        val (a, b) = rng.nextInt(4) match {
+          case 0 => (key(), key())
+          case 1 => { val v = key(); (v, v) }
+          case 2 => (key(), Long.MaxValue)
+          case _ => (extreme(), extreme())
+        }
+        RangeQuery.of(3, 1 -> (math.min(a, b), math.max(a, b)))
+      }
+      val extreme3 = Seq.fill(20) {
+        val q = RangeQuery.full(3)
+        for (d <- 0 until 3 if rng.nextBoolean()) {
+          val (a, b) = (extreme(), extreme())
+          q.lo(d) = math.min(a, b); q.hi(d) = math.max(a, b)
+        }
+        q
+      }
+      val inverted = (0 until 3).map(d => RangeQuery.of(3, d -> (5L, 4L)))
+      val queries = RangeQuery.full(3) +: (sortOnly ++ Seq.fill(30)(TestData.randomQuery(s, rng)) ++ inverted ++ extreme3)
+      for ((q, i) <- queries.zipWithIndex) {
+        val r = idx.queryWithStats(q)
+        // one chunk, and every query split however few cells it meets
+        for (minCells <- Seq(Int.MaxValue, 0))
+          assert(counters(r) == counters(idx.queryWithStats(q, minCells)), s"$k cells, query $i, split from $minCells: $q")
+        assert((r.count, r.sum) == Scan.brute(s, q, aggDim = 2), s"$k cells, query $i: $q")
+        assert(r.scanned == referenceScanned(idx, q), s"$k cells, query $i: $q")
+      }
+      assert(sortOnly.forall(q => idx.queryWithStats(q).nonEmptyCells == k))
+    }
+    if (FloodIndex.Chunks > 1)
+      assert(Thread.getAllStackTraces.keySet.asScala.exists(_.getName == "flood-worker"))
   }
 
   test("correct across many random layouts (the key invariant)") {
