@@ -3,8 +3,8 @@ package repro.core
 import repro.model.SearchUtil
 import repro.store.{Candidates, ColumnStore, IndexResult, MultiDimIndex, RangeBoxes, RangeQuery, Sort}
 
-import java.util.concurrent.atomic.AtomicInteger
-import java.util.concurrent.{CountDownLatch, ExecutorService, Executors}
+import java.util.concurrent.ForkJoinPool
+import java.util.stream.IntStream
 
 /** Per-query statistics, decomposed the way the paper's cost model is
   * (Eq. 1): projection visits `cellsInRect` cells, refinement narrows each
@@ -59,13 +59,13 @@ final case class FloodLoadNanos(
   * other cell's. A query that meets at least `FloodIndex.ParallelMinCells`
   * non-empty cells (on tpch-scan, the ones that filter only the sort
   * dimension) cuts its list of them into `FloodIndex.Chunks` contiguous
-  * chunks, which its caller and a small pool of daemon workers (one fewer
-  * than the host's cores) refine and scan, each through its own
-  * `Candidates`; the chunks' counts, sums (mod 2^64) and counters add up
-  * to the serial ones. A smaller query is the one-chunk case of the same
-  * loop, run on the caller. `FloodStats.refineNanos` and `scanNanos` are
-  * the sums over the chunks, i.e. single-thread work as Eq. 1 prices it;
-  * only the query's wall time falls.
+  * chunks, which its caller and the JDK's common fork/join pool refine and
+  * scan, each through its own `Candidates`; the chunks' counts, sums
+  * (mod 2^64) and counters add up to the serial ones. A smaller query is
+  * the one-chunk case of the same loop, run on the caller.
+  * `FloodStats.refineNanos` and `scanNanos` are the sums over the chunks,
+  * i.e. single-thread work as Eq. 1 prices it; only the query's wall time
+  * falls.
   *
   * @param store      input data (any row order)
   * @param layout     dimension ordering + per-grid-dimension column counts
@@ -95,7 +95,7 @@ final class FloodIndex(
   private var loadV: FloodLoadNanos = _
 
   // the non-empty cells of the calling thread's current query, reused; a
-  // split query's workers read them until the query returns
+  // split query's chunks read them until the query returns
   private val cellBuf = ThreadLocal.withInitial[Array[Int]](() => new Array[Int](256))
 
   val buildNanos: Long = {
@@ -171,7 +171,7 @@ final class FloodIndex(
   /** Answer `q`, reporting the full per-phase statistics. */
   def queryWithStats(q: RangeQuery): FloodStats = queryWithStats(q, FloodIndex.ParallelMinCells)
 
-  /** `queryWithStats`, refining and scanning in chunks over the workers
+  /** `queryWithStats`, refining and scanning in chunks on the common pool
     * when the query meets at least `minCellsToSplit` non-empty cells
     * (`repro.ParallelCrossover` times both sides of the threshold).
     */
@@ -196,12 +196,21 @@ final class FloodIndex(
     val t1 = System.nanoTime()
 
     // ---- refinement and scan, of all cells at once or of contiguous
-    // chunks of them on the workers; the totals of the chunks add up ----
+    // chunks of them on the common pool; the totals of the chunks add up.
+    // The stream's tasks are `CountedCompleter`s: the caller runs chunks
+    // itself and, while it waits, only chunks of this query, so no other
+    // query on its thread can overwrite its `cellBuf` ----
     val gridChecks = q.filteredMask & ~(1L << sDim)
     val chunks = if (nCells >= minCellsToSplit) math.max(1, math.min(FloodIndex.Chunks, nCells)) else 1
     val tot = new Array[Long](chunks * FloodIndex.Totals)
     if (chunks == 1) refineAndScan(q, gridChecks, cells, 0, nCells, tot, 0)
-    else new Split(q, gridChecks, cells, nCells, chunks, tot).runAll()
+    else {
+      // vals, so the lambda captures no `var` of the projection loop
+      val cs = cells
+      val n = nCells
+      IntStream.range(0, chunks).parallel().forEach(k =>
+        refineAndScan(q, gridChecks, cs, (k.toLong * n / chunks).toInt, ((k + 1).toLong * n / chunks).toInt, tot, k))
+    }
     var i = FloodIndex.Totals
     while (i < tot.length) { tot(i % FloodIndex.Totals) += tot(i); i += 1 }
     FloodStats(
@@ -247,43 +256,6 @@ final class FloodIndex(
     tot(o + 3) = exactPts; tot(o + 4) = r.indexNanos; tot(o + 5) = r.scanNanos
   }
 
-  /** One query's refinement and scan in `n` contiguous chunks of its `nCells`
-    * non-empty cells. The caller and the workers it wakes each claim the
-    * next unclaimed chunk until none is left (morsel-driven scheduling,
-    * Leis et al., SIGMOD 2014), so a worker that wakes late only leaves
-    * more chunks to the caller; the caller then waits for the chunks still
-    * running. It waits without running anything else, so no other query
-    * can overwrite its `cellBuf` meanwhile.
-    */
-  private final class Split(q: RangeQuery, gridChecks: Long, cells: Array[Int], nCells: Int, n: Int,
-                            tot: Array[Long]) extends Runnable {
-    private val next = new AtomicInteger
-    private val running = new CountDownLatch(n)
-    @volatile private var failure: Throwable = null
-
-    def run(): Unit = {
-      var k = next.getAndIncrement()
-      while (k < n) {
-        try refineAndScan(q, gridChecks, cells, (k.toLong * nCells / n).toInt, ((k + 1).toLong * nCells / n).toInt, tot, k)
-        catch { case t: Throwable => failure = t }
-        finally running.countDown()
-        k = next.getAndIncrement()
-      }
-    }
-
-    /** Run every chunk, on this thread and on up to `n - 1` workers. */
-    def runAll(): Unit = {
-      var wake = math.min(FloodIndex.Workers, n - 1)
-      while (wake > 0) { FloodIndex.pool.execute(this); wake -= 1 }
-      run()
-      var interrupted = false
-      var done = false
-      while (!done) try { running.await(); done = true } catch { case _: InterruptedException => interrupted = true }
-      if (interrupted) Thread.currentThread().interrupt()
-      if (failure != null) throw failure
-    }
-  }
-
   def query(q: RangeQuery): IndexResult = queryWithStats(q).toIndexResult
 
   def sizeBytes: Long =
@@ -298,31 +270,22 @@ final class FloodIndex(
 
 object FloodIndex {
 
-  /** Non-empty cells from which a query's refinement and scan are split over
-    * the workers: the crossover `repro.ParallelCrossover` measured on a
-    * 4-core host, with the workers parked before each query. Below it the
-    * split query is not faster in nearly every trial: waking the workers
-    * costs about as much as the cells' work they take over.
+  /** Non-empty cells from which a query's refinement and scan are split
+    * over the common pool: the crossover `repro.ParallelCrossover` measured
+    * on a 4-core host, with the pool's threads parked before each query.
+    * Below it the split query is not faster in nearly every trial: waking
+    * the threads costs about as much as the cells' work they take over.
     */
   private[repro] final val ParallelMinCells = 2048
 
-  /** Threads that refine and scan chunks besides the query's caller. */
-  private[core] val Workers: Int = Runtime.getRuntime.availableProcessors - 1
-
-  /** Chunks a split query's cells are cut into: two per thread, so a thread
-    * that starts late or runs slow holds up less than half of its share.
+  /** Chunks a split query's cells are cut into: two per thread that runs
+    * them (the common pool's and the caller), so a thread that starts late
+    * or runs slow holds up less than half of its share; 1, so no query
+    * splits, on a one-core host.
     */
-  private[repro] val Chunks: Int = if (Workers == 0) 1 else 2 * (Workers + 1)
+  private[repro] val Chunks: Int =
+    if (Runtime.getRuntime.availableProcessors == 1) 1 else 2 * (ForkJoinPool.getCommonPoolParallelism + 1)
 
   /** Count, sum, scanned, exact points, refinement and scan nanoseconds. */
   private[core] final val Totals = 6
-
-  /** The workers: daemon threads, started on the first split query (there
-    * is none when `Workers` is 0, since `Chunks` is then 1).
-    */
-  private[core] lazy val pool: ExecutorService = Executors.newFixedThreadPool(Workers, { (r: Runnable) =>
-    val t = new Thread(r, "flood-worker")
-    t.setDaemon(true)
-    t
-  })
 }

@@ -4,12 +4,13 @@ import repro.core.{CdfFlattening, FloodIndex, FloodStats, Layout}
 import repro.store.{ColumnStore, RangeQuery}
 
 import java.io.PrintWriter
+import java.util.concurrent.ForkJoinPool
 import scala.util.Random
 
 /** The threshold of Flood's parallel refinement and scan: one query's wall
   * time with all its non-empty cells in one chunk, on the caller, against
-  * `FloodIndex.Chunks` chunks, on the caller and the workers, by the number
-  * of non-empty cells the query meets:
+  * `FloodIndex.Chunks` chunks, on the caller and the common fork/join
+  * pool's threads, by the number of non-empty cells the query meets:
   *
   * {{{
   * sbt "Test/runMain repro.ParallelCrossover [rows] [passes]"
@@ -28,15 +29,15 @@ import scala.util.Random
   *     one check and nothing is refined.
   *
   * Before each timed query the caller reads through a 64 MB buffer for
-  * `IdleMillis` while the workers park, as they do between rare large
-  * queries while the client runs small ones; timing queries back to back
-  * would keep the workers awake and hide the cost of waking them, and
+  * `IdleMillis` while the pool's threads park, as they do between rare
+  * large queries while the client runs small ones; timing queries back to
+  * back would keep the threads awake and hide the cost of waking them, and
   * would let the second way of a pair find the first one's data cached.
   * Both ways must give the same answers and counters. Each query is timed
-  * both ways once per pass, in alternating order. A line reports, per size and kind, the median
-  * non-empty cells, each way's median wall time over all queries and
-  * `passes` passes (default 5), and the share of those pairs the split
-  * query won. The split query is faster at a size when its median is
+  * both ways once per pass, in alternating order. A line reports, per size
+  * and kind, the median non-empty cells, each way's median wall time over
+  * all queries and `passes` passes (default 5), and the share of those
+  * pairs the split query won. The split query is faster at a size when its median is
   * lower and it won at least `MinWins` of the pairs. The crossover is the
   * smallest size from which it is faster for both kinds at every larger
   * size measured; `FloodIndex.ParallelMinCells` is set from it.
@@ -48,19 +49,19 @@ object ParallelCrossover {
   }
 
   /** The share of paired timings the split query must win, besides the
-    * median: a split query that loses now and then (a worker woke late)
+    * median: a split query that loses now and then (a thread woke late)
     * loses in the tail, and the tail is what a large query sets.
     */
   val MinWins = 0.9
 
-  /** How long the workers idle before each timed query. */
+  /** How long the pool's threads idle before each timed query. */
   val IdleMillis = 2L
 
   def main(args: Array[String]): Unit = {
     val rows = if (args.length > 0) args(0).toInt else 1 << 21
     val passes = if (args.length > 1) args(1).toInt else 5
     val out = new PrintWriter(System.out)
-    out.println(s"workers besides the caller: ${Runtime.getRuntime.availableProcessors - 1}, chunks: ${FloodIndex.Chunks}")
+    out.println(s"common-pool threads besides the caller: ${ForkJoinPool.getCommonPoolParallelism}, chunks: ${FloodIndex.Chunks}")
     val rs = run(rows, 6 to 14, passes, queriesPerSize = 16, out)
     out.println(crossover(rs).fold("crossover: the split query is faster at no measured size")(c => s"crossover: $c non-empty cells"))
     out.flush()
@@ -80,13 +81,9 @@ object ParallelCrossover {
   def run(rows: Int, logSizes: Range, passes: Int, queriesPerSize: Int, out: PrintWriter): Seq[Row] = {
     val rng = new Random(1601)
     val keys = rows / 4 + 1
-    val store = ColumnStore.of(
-      "x" -> Array.fill(rows)(rng.nextInt(1000000).toLong),
-      "y" -> Array.fill(rows)(rng.nextInt(1000000).toLong),
-      "key" -> Array.fill(rows)(rng.nextInt(keys).toLong))
     val cols = 1 << logSizes.max
-    val idx = new FloodIndex(store, Layout(Array(0, 1, 2), Array(cols, 1)), CdfFlattening.train(store), aggDim = 1)
-    val xs = store.columns(0).clone()
+    val idx = index(rows, cols, rng)
+    val xs = idx.data.columns(0).clone()
     java.util.Arrays.sort(xs)
     // a query over columns [c, c + m) of x: the quantiles a quarter column inside its ends
     def xRange(c: Int, m: Int): (Long, Long) =
@@ -131,12 +128,24 @@ object ParallelCrossover {
     }
   }
 
+  /** The store described above, `rows` rows drawn from `rng`, with `x` cut
+    * into `cols` columns.
+    */
+  def index(rows: Int, cols: Int, rng: Random): FloodIndex = {
+    val keys = rows / 4 + 1
+    val store = ColumnStore.of(
+      "x" -> Array.fill(rows)(rng.nextInt(1000000).toLong),
+      "y" -> Array.fill(rows)(rng.nextInt(1000000).toLong),
+      "key" -> Array.fill(rows)(rng.nextInt(keys).toLong))
+    new FloodIndex(store, Layout(Array(0, 1, 2), Array(cols, 1)), CdfFlattening.train(store), aggDim = 1)
+  }
+
   // larger than the host's last-level cache
   private lazy val flush = new Array[Long](1 << 23)
   private var flushAt = 0
 
   /** Keep the caller busy for `IdleMillis`, as a client running smaller
-    * queries is, while the workers park. The caller reads on through a
+    * queries is, while the pool's threads park. The caller reads on through a
     * buffer larger than the last-level cache, so each timed query starts
     * with caches as cold for one way as for the other.
     */

@@ -2,6 +2,8 @@ package repro
 
 import repro.store.{ColumnStore, RangeQuery}
 
+import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.{CountDownLatch, ForkJoinPool}
 import scala.util.Random
 
 /** Deterministic generators for the non-Spark engine tests: random column
@@ -62,5 +64,25 @@ object TestData {
       i += 1
     }
     a
+  }
+
+  /** Run `body` while every thread of `ForkJoinPool.commonPool()` waits on
+    * a latch, so a split Flood query's chunks can run only on its caller.
+    * The pool starts no thread while they wait: it has as many as its
+    * parallelism and joins nothing. The latch is released when `body`
+    * returns or throws.
+    */
+  def withCommonPoolBlocked[A](body: => A): A = {
+    val pool = ForkJoinPool.commonPool()
+    val release = new CountDownLatch(1)
+    val blocked = new AtomicInteger
+    try {
+      def threads = math.max(pool.getParallelism, pool.getPoolSize)
+      for (_ <- 0 until threads) pool.execute(() => { blocked.incrementAndGet(); release.await() })
+      val deadline = System.nanoTime() + 30000000000L
+      while (blocked.get < threads && System.nanoTime() < deadline) Thread.sleep(1)
+      require(blocked.get >= threads, s"${blocked.get} of the common pool's $threads threads blocked")
+      body
+    } finally release.countDown()
   }
 }

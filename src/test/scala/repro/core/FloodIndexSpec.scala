@@ -31,7 +31,7 @@ class FloodIndexSpec extends AnyFunSuite {
   private def counters(s: FloodStats) = (s.count, s.sum, s.scanned, s.exactPoints, s.cellsInRect, s.nonEmptyCells)
 
   // 20,000 rows in 64 × 32 × 4 cells: unfiltered and sort-only queries meet
-  // more than `ParallelMinCells` non-empty cells and are split over the workers
+  // more than `ParallelMinCells` non-empty cells and are split over the common pool
   private lazy val bigStore = TestData.randomStore(20000, 4, seed = 76)
   private lazy val big = new FloodIndex(bigStore, Layout(Array(0, 1, 2, 3), Array(64, 32, 4)), CdfFlattening.train(bigStore), aggDim = 1)
   private lazy val bigQueries = {
@@ -105,6 +105,7 @@ class FloodIndexSpec extends AnyFunSuite {
 
   test("just below and just above ParallelMinCells: split and one-chunk queries match brute force and each other") {
     val p = FloodIndex.ParallelMinCells
+    val steals = ForkJoinPool.commonPool().getStealCount
     val extremes = Array(Long.MinValue, Long.MinValue + 1, -1L, 0L, 1L, Long.MaxValue - 1, Long.MaxValue)
     for ((idx, k) <- Seq(kCells(p - 1) -> (p - 1), kCells(p + 1) -> (p + 1))) {
       val s = idx.data
@@ -144,7 +145,24 @@ class FloodIndexSpec extends AnyFunSuite {
       assert(sortOnly.forall(q => idx.queryWithStats(q).nonEmptyCells == k))
     }
     if (FloodIndex.Chunks > 1)
-      assert(Thread.getAllStackTraces.keySet.asScala.exists(_.getName == "flood-worker"))
+      assert(ForkJoinPool.commonPool().getStealCount > steals, "the common pool's threads ran chunks")
+  }
+
+  test("a saturated common pool: the caller runs every chunk of its split queries") {
+    // a split query can finish only if its caller runs all its chunks, and
+    // no pool thread finishes a task (which would count as a steal) until
+    // the pool is released
+    val expected = bigQueries.map(q => counters(big.queryWithStats(q, Int.MaxValue)))
+    val pool = ForkJoinPool.commonPool()
+    TestData.withCommonPoolBlocked {
+      val steals = pool.getStealCount
+      for ((q, e) <- bigQueries.zip(expected)) {
+        val r = counters(big.queryWithStats(q, 0))
+        assert(r == e, s"$q")
+        assert((r._1, r._2) == Scan.brute(bigStore, q, aggDim = 1), s"$q")
+      }
+      assert(pool.getStealCount == steals, "no thread of the common pool ran a chunk")
+    }
   }
 
   test("correct across many random layouts (the key invariant)") {
